@@ -67,6 +67,7 @@ use gfomc_logic::{Circuit, Cnf, CnfId, CnfInterner, EvalArena, FlatCircuit, Weig
 use gfomc_obs::Counter;
 use gfomc_pool::WorkerPool;
 use gfomc_query::BipartiteQuery;
+use gfomc_safety::{circuit_cost_estimate, CircuitCostEstimate};
 use gfomc_tid::{lineage, Lineage, Tid, Tuple, VarTable};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -132,6 +133,11 @@ impl CacheStats {
 #[derive(Debug)]
 struct CacheEntry {
     circuit: Arc<FlatCircuit>,
+    /// The lineage's cost estimate, stored by the first budgeted request
+    /// that admitted or hit the entry (the estimate is a pure function of
+    /// the canonical CNF this entry is keyed on). `None` for an entry that
+    /// only the unbudgeted [`Engine::compile`] has touched.
+    estimate: Option<CircuitCostEstimate>,
     /// Eviction priority `last-touch stamp + compile cost` (see
     /// [`Engine::compile`] — higher survives longer).
     priority: u64,
@@ -139,6 +145,18 @@ struct CacheEntry {
     /// `gfomc_safety::CircuitCostEstimate` reports, so admission duels and
     /// routing budgets speak one currency.
     cost: u64,
+}
+
+/// The verdict of budgeted admission ([`Engine::admit`]) for one lineage.
+#[derive(Debug)]
+pub(crate) enum Admission {
+    /// The circuit was resident (a cache hit), with its stored estimate.
+    Resident(Compiled, CircuitCostEstimate),
+    /// The circuit was compiled by this request (a cache miss).
+    CompiledNow(Compiled, CircuitCostEstimate),
+    /// The estimate exceeds the budget: nothing was compiled, and the
+    /// lineage goes back to the caller for the sampler.
+    OverBudget(CircuitCostEstimate, Lineage),
 }
 
 /// One independently locked shard of the compilation cache: its slice of
@@ -212,6 +230,9 @@ pub struct Engine {
     cache_misses: Arc<Counter>,
     cache_evictions: Arc<Counter>,
     cache_rejections: Arc<Counter>,
+    /// Calls of the cost estimator on the request path: once per admitted
+    /// distinct lineage, plus every request that is not resident.
+    cost_estimates: Arc<Counter>,
     /// Serving knob carried by the engine so server, CLI, and benches all
     /// read one source of truth: how many admitted-but-unfinished requests
     /// a front-end may hold before it must reject explicitly.
@@ -365,6 +386,7 @@ impl EngineBuilder {
             cache_misses: counter("engine_cache_misses_total"),
             cache_evictions: counter("engine_cache_evictions_total"),
             cache_rejections: counter("engine_cache_rejections_total"),
+            cost_estimates: counter("engine_cost_estimates_total"),
             max_queue_depth: self.max_queue_depth,
             sessions: Mutex::new(HashMap::new()),
             session_ids: AtomicU64::new(0),
@@ -413,30 +435,72 @@ impl Engine {
     ///
     /// Compilation is the expensive step — it performs the full component
     /// / Shannon decomposition exactly once per *distinct* lineage. Every
-    /// subsequent [`Compiled::evaluate`] is a single bottom-up pass.
+    /// subsequent [`Compiled::evaluate`] is a single bottom-up pass. No
+    /// budget applies here, so no cost estimate is computed.
     pub fn compile(&self, q: &BipartiteQuery, tid: &Tid) -> Compiled {
-        self.compile_lineage(lineage(q, tid))
+        let lin = lineage(q, tid);
+        let (circuit, _) = self.compile_cnf(&lin.cnf, None, || {});
+        Compiled {
+            circuit,
+            vars: lin.vars,
+        }
     }
 
-    /// Compiles an already-grounded lineage — shared by [`Engine::compile`]
-    /// and the router ([`Engine::evaluate_auto`]), which grounds the
-    /// lineage itself to estimate its cost before committing to a circuit.
-    pub(crate) fn compile_lineage(&self, lin: Lineage) -> Compiled {
-        self.compile_lineage_traced(lin).0
-    }
-
-    /// [`Engine::compile_lineage`] plus the cache outcome: `true` iff the
-    /// circuit was already resident — the bit the router's phase trace
-    /// reports as `cache hit`/`cache miss`.
-    pub(crate) fn compile_lineage_traced(&self, lin: Lineage) -> (Compiled, bool) {
-        let (circuit, hit) = self.compile_cnf(&lin.cnf);
-        (
-            Compiled {
-                circuit,
-                vars: lin.vars,
-            },
-            hit,
-        )
+    /// Budgeted admission, shared by the router and
+    /// [`Engine::open_session`]: decides whether `lin` may take the exact
+    /// compiled path under a `max_cost` gate budget, looking in the cache
+    /// **before** estimating. A resident lineage whose estimate is stored
+    /// with it pays one lookup; the estimator runs only for a lineage that
+    /// is not resident (or was admitted by the unbudgeted
+    /// [`Engine::compile`], whose entry adopts the estimate on its first
+    /// budgeted hit).
+    ///
+    /// An over-budget verdict leaves the cache exactly as it found it: no
+    /// hit or miss is counted and no entry's priority moves, even when the
+    /// lineage is resident. `before_compile` runs just before a compile
+    /// starts (the router closes its `route` span there).
+    pub(crate) fn admit(
+        &self,
+        lin: Lineage,
+        max_cost: u64,
+        before_compile: impl FnOnce(),
+    ) -> Admission {
+        if self.cache_capacity > 0 {
+            let mut shard = Engine::lock_shard(self.shard_of(&lin.cnf));
+            let resident = shard.interner.lookup(&lin.cnf);
+            if let Some(entry) = resident.and_then(|id| shard.entries.get_mut(&id)) {
+                if let Some(cost) = entry.estimate {
+                    if !cost.within(max_cost) {
+                        return Admission::OverBudget(cost, lin);
+                    }
+                    let circuit = self.touch(entry);
+                    return Admission::Resident(
+                        Compiled {
+                            circuit,
+                            vars: lin.vars,
+                        },
+                        cost,
+                    );
+                }
+            }
+        }
+        // Not resident with a stored estimate: estimate outside any lock,
+        // then let the cache core re-check residency under the shard lock.
+        self.cost_estimates.inc();
+        let cost = circuit_cost_estimate(&lin.cnf);
+        if !cost.within(max_cost) {
+            return Admission::OverBudget(cost, lin);
+        }
+        let (circuit, hit) = self.compile_cnf(&lin.cnf, Some(cost), before_compile);
+        let compiled = Compiled {
+            circuit,
+            vars: lin.vars,
+        };
+        if hit {
+            Admission::Resident(compiled, cost)
+        } else {
+            Admission::CompiledNow(compiled, cost)
+        }
     }
 
     /// The shard a canonical CNF belongs to.
@@ -459,34 +523,53 @@ impl Engine {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// Records a cache hit on `entry`: refreshes its eviction priority and
+    /// hands out its circuit.
+    fn touch(&self, entry: &mut CacheEntry) -> Arc<FlatCircuit> {
+        let stamp = self.cache_stamp.fetch_add(1, Ordering::Relaxed) + 1;
+        entry.priority = stamp.saturating_add(entry.cost);
+        self.cache_hits.inc();
+        Arc::clone(&entry.circuit)
+    }
+
     /// The cache-aware compilation core: interns the canonical CNF in its
     /// shard and either returns the resident circuit or compiles, admits,
     /// and possibly evicts under the cost-aware policy. The flag is `true`
-    /// iff the circuit was already resident (a cache hit).
-    fn compile_cnf(&self, cnf: &Cnf) -> (Arc<FlatCircuit>, bool) {
+    /// iff the circuit was already resident (a cache hit). A budgeted
+    /// caller passes the lineage's `estimate`, which is stored with a new
+    /// entry and adopted by a resident one that lacks it;
+    /// `before_compile` runs only when a compile is about to start.
+    fn compile_cnf(
+        &self,
+        cnf: &Cnf,
+        estimate: Option<CircuitCostEstimate>,
+        before_compile: impl FnOnce(),
+    ) -> (Arc<FlatCircuit>, bool) {
         if self.cache_capacity == 0 {
             self.cache_misses.inc();
+            before_compile();
             return (self.compile_fresh(cnf), false);
         }
         let mut shard = Engine::lock_shard(self.shard_of(cnf));
         let id = shard.interner.intern(cnf);
-        let stamp = self.cache_stamp.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(entry) = shard.entries.get_mut(&id) {
-            entry.priority = stamp.saturating_add(entry.cost);
-            self.cache_hits.inc();
-            return (Arc::clone(&entry.circuit), true);
+            entry.estimate = entry.estimate.or(estimate);
+            return (self.touch(entry), true);
         }
+        let stamp = self.cache_stamp.fetch_add(1, Ordering::Relaxed) + 1;
         self.cache_misses.inc();
         // Compile while holding the shard lock: concurrent callers of the
         // *same* lineage wait for one compilation instead of duplicating
         // it, and callers of distinct lineages collide only when their
         // hashes share a shard.
+        before_compile();
         let circuit = self.compile_fresh(cnf);
         let cost = circuit.gate_count() as u64;
         shard.entries.insert(
             id,
             CacheEntry {
                 circuit: Arc::clone(&circuit),
+                estimate,
                 priority: stamp.saturating_add(cost),
                 cost,
             },
@@ -1037,6 +1120,42 @@ mod tests {
         let end = engine.cache_stats();
         assert_eq!(end.entries, 1);
         assert_eq!(end.evictions, 1, "{end:?}");
+    }
+
+    #[test]
+    fn over_budget_request_leaves_the_resident_entry_untouched() {
+        // `(priority, estimate)` of every resident entry, plus the stamp.
+        let snapshot = |engine: &Engine| {
+            let entries: Vec<_> = engine
+                .shards
+                .iter()
+                .flat_map(|s| {
+                    let shard = Engine::lock_shard(s);
+                    let all: Vec<_> = shard
+                        .entries
+                        .values()
+                        .map(|e| (e.priority, e.estimate))
+                        .collect();
+                    all
+                })
+                .collect();
+            (entries, engine.cache_stamp.load(Ordering::Relaxed))
+        };
+        let q = catalog::h1();
+        let tid = uniform_tid(&q, 2, 2);
+        let engine = Engine::new();
+        let routed = engine.evaluate_auto(&q, &tid, &Budget::default());
+        let before = snapshot(&engine);
+        assert_eq!(before.0, vec![(before.0[0].0, routed.cost)]);
+        let tight = Budget::default().with_max_circuit_cost(0);
+        assert_eq!(engine.evaluate_auto(&q, &tid, &tight).route, Route::Sampled);
+        assert_eq!(
+            snapshot(&engine),
+            before,
+            "an over-budget request is no hit"
+        );
+        engine.evaluate_auto(&q, &tid, &Budget::default());
+        assert!(snapshot(&engine).0[0].0 > before.0[0].0, "a hit refreshes");
     }
 
     #[test]

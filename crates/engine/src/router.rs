@@ -9,8 +9,12 @@
 //! 2. **Unsafe query, affordable lineage** ⇒ knowledge compilation
 //!    ([`Engine::compile`]) — still exact; the refined Shannon cost
 //!    bound ([`gfomc_safety::circuit_cost_estimate`]) must fit the
-//!    budget. Compiled circuits are cached per engine (LRU on interned
-//!    canonical lineages), so repeated queries skip compilation.
+//!    budget. Routing is **cache first**: the grounded lineage is looked
+//!    up in the engine's compilation cache (LRU on interned canonical
+//!    lineages) before anything is estimated. The estimate is computed
+//!    once per resident lineage and stored with its circuit, so a
+//!    repeated query skips both the estimate and the compile and only
+//!    re-checks the stored estimate against its own budget.
 //! 3. **Unsafe query, lineage over budget** ⇒ the Karp–Luby sampler
 //!    ([`gfomc_approx::CnfSampler`]) — a seeded-deterministic estimate
 //!    with a conservative confidence interval, in time linear in the
@@ -30,14 +34,14 @@
 //! callers, and [`Engine::evaluate_auto_batch`] fans a whole batch of
 //! routed queries across the pool with a shared compilation cache.
 
-use crate::Engine;
+use crate::{Admission, Engine};
 use gfomc_approx::{AdaptiveConfig, CnfSampler, ConfidenceInterval, Estimate};
 use gfomc_arith::Rational;
 use gfomc_logic::EvalArena;
 use gfomc_obs::Trace;
 use gfomc_query::BipartiteQuery;
-use gfomc_safety::{circuit_cost_estimate, is_safe, lifted_probability, CircuitCostEstimate};
-use gfomc_tid::{lineage, Tid};
+use gfomc_safety::{is_safe, lifted_probability, CircuitCostEstimate};
+use gfomc_tid::{lineage, Lineage, Tid};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -123,7 +127,11 @@ pub enum SampleMode {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Budget {
     /// Maximum estimated circuit gates the exact compiled path may cost
-    /// (compared against [`CircuitCostEstimate::estimated_nodes`]).
+    /// (compared against [`CircuitCostEstimate::estimated_nodes`]). The
+    /// estimate is computed once per resident lineage and stored with it,
+    /// so a cache hit compares this cap against the stored value; a
+    /// resident lineage whose estimate exceeds a tighter cap still samples
+    /// and leaves the cache untouched.
     pub max_circuit_cost: u64,
     /// Monte-Carlo sample count for [`SampleMode::Fixed`] (ignored by the
     /// adaptive mode, which derives its own cap).
@@ -336,7 +344,9 @@ pub struct Routed {
     /// The regime that produced it.
     pub route: Route,
     /// The lineage cost estimate — `None` on the lifted path, which never
-    /// grounds a lineage.
+    /// grounds a lineage. It is computed once per resident lineage and
+    /// stored with it, so a cache hit reports the stored estimate: the
+    /// same value, byte for byte, a fresh engine would compute.
     pub cost: Option<CircuitCostEstimate>,
     /// The request's phase trace — `Some` only when the caller opted in
     /// ([`EvalRequest::with_trace`](crate::EvalRequest::with_trace)).
@@ -410,10 +420,6 @@ impl Engine {
         budget: &Budget,
         tr: &mut Trace,
     ) -> Routed {
-        // Normalize at the point of use: a `Budget` built as a struct
-        // literal can carry `threads: 0` past the `with_threads` clamp,
-        // and a zero must never reach the pool fan-out.
-        let threads = budget.threads.max(1);
         let mut mark = Instant::now();
         // Reads the clock, closes the current phase, and opens the next.
         let mut span = |tr: &mut Trace, name: &str| {
@@ -443,43 +449,79 @@ impl Engine {
                 trace: None,
             };
         }
-        let lin = lineage(q, tid);
-        let cost = circuit_cost_estimate(&lin.cnf);
-        span(tr, "route");
+        // Cache first: a resident lineage reuses the estimate stored with
+        // its circuit, so only a lineage that is not resident pays for
+        // one. On a hit `route` covers classify + ground + lookup; on a
+        // miss it also covers the estimate, and `compile` the compile.
+        let admission = self.admit(lineage(q, tid), budget.max_circuit_cost, || {
+            span(tr, "route")
+        });
+        let (compiled, cost, hit) = match admission {
+            Admission::Resident(compiled, cost) => {
+                span(tr, "route");
+                span(tr, "cache");
+                (compiled, cost, true)
+            }
+            Admission::CompiledNow(compiled, cost) => {
+                span(tr, "compile");
+                (compiled, cost, false)
+            }
+            Admission::OverBudget(cost, lin) => {
+                span(tr, "route");
+                tr.gates = Some(cost.estimated_nodes);
+                let est = self.sample(&lin, budget, tr);
+                span(tr, "sample");
+                tr.samples = Some(est.samples);
+                tr.route = Some(Route::Sampled.to_string());
+                self.count_route(Route::Sampled);
+                return Routed {
+                    result: est.into(),
+                    route: Route::Sampled,
+                    cost: Some(cost),
+                    trace: None,
+                };
+            }
+        };
         tr.gates = Some(cost.estimated_nodes);
-        if cost.within(budget.max_circuit_cost) {
-            let (compiled, hit) = self.compile_lineage_traced(lin);
-            span(tr, if hit { "cache" } else { "compile" });
-            tr.cache_hit = Some(hit);
-            self.count_route(Route::Compiled);
-            let fallbacks_before = gfomc_logic::interval_fallbacks_thread();
-            // With a threshold, the decision is answered on the interval
-            // lane first — the exact pass runs only when the enclosure
-            // straddles `t` (visible as a fallback in the trace).
-            let result = match &budget.threshold {
-                Some(t) => {
-                    let (le, _fell_back) = compiled.certify_le_db(t);
-                    AutoResult::Certified {
-                        le,
-                        threshold: t.clone(),
-                    }
+        tr.cache_hit = Some(hit);
+        self.count_route(Route::Compiled);
+        let fallbacks_before = gfomc_logic::interval_fallbacks_thread();
+        // With a threshold, the decision is answered on the interval
+        // lane first — the exact pass runs only when the enclosure
+        // straddles `t` (visible as a fallback in the trace).
+        let result = match &budget.threshold {
+            Some(t) => {
+                let (le, _fell_back) = compiled.certify_le_db(t);
+                AutoResult::Certified {
+                    le,
+                    threshold: t.clone(),
                 }
-                None => AutoResult::Exact(
-                    ROUTE_ARENA.with(|arena| compiled.evaluate_db_with(&mut arena.borrow_mut())),
-                ),
-            };
-            span(tr, "evaluate");
-            tr.fallbacks = Some(gfomc_logic::interval_fallbacks_thread() - fallbacks_before);
-            tr.route = Some(Route::Compiled.to_string());
-            return Routed {
-                result,
-                route: Route::Compiled,
-                cost: Some(cost),
-                trace: None,
-            };
+            }
+            None => AutoResult::Exact(
+                ROUTE_ARENA.with(|arena| compiled.evaluate_db_with(&mut arena.borrow_mut())),
+            ),
+        };
+        span(tr, "evaluate");
+        tr.fallbacks = Some(gfomc_logic::interval_fallbacks_thread() - fallbacks_before);
+        tr.route = Some(Route::Compiled.to_string());
+        Routed {
+            result,
+            route: Route::Compiled,
+            cost: Some(cost),
+            trace: None,
         }
+    }
+
+    /// The sampled route: a Karp–Luby estimate of an over-budget lineage
+    /// under the budget's stopping rule, on [`Budget::threads`] pool
+    /// workers.
+    fn sample(&self, lin: &Lineage, budget: &Budget, tr: &mut Trace) -> Estimate {
+        // Normalize at the point of use: a `Budget` built as a struct
+        // literal can carry `threads: 0` past the `with_threads` clamp,
+        // and a zero must never reach the pool fan-out.
+        let threads = budget.threads.max(1);
         let sampler = CnfSampler::new(&lin.cnf, lin.vars.weights());
-        let est = match budget.mode {
+        match budget.mode {
             SampleMode::Fixed => sampler.estimate_seeded_on(
                 self.pool(),
                 budget.seed,
@@ -494,16 +536,6 @@ impl Engine {
                 tr.rounds = Some(u64::from(adaptive.rounds));
                 adaptive.estimate
             }
-        };
-        span(tr, "sample");
-        tr.samples = Some(est.samples);
-        tr.route = Some(Route::Sampled.to_string());
-        self.count_route(Route::Sampled);
-        Routed {
-            result: est.into(),
-            route: Route::Sampled,
-            cost: Some(cost),
-            trace: None,
         }
     }
 

@@ -66,11 +66,12 @@
 
 use crate::api::{keyword, parse_prob, parse_tuple, token};
 use crate::router::BudgetError;
-use crate::{Compiled, Engine, EvalRequest, RequestParseError, ResponseParseError, TupleWeights};
+use crate::{
+    Admission, Compiled, Engine, EvalRequest, RequestParseError, ResponseParseError, TupleWeights,
+};
 use gfomc_arith::{Interval, Rational};
 use gfomc_logic::{PricedCircuit, UpdateStats};
 use gfomc_obs::Trace;
-use gfomc_safety::circuit_cost_estimate;
 use gfomc_tid::{lineage, Tuple, VarTable};
 use std::collections::HashMap;
 use std::fmt;
@@ -344,11 +345,13 @@ impl Engine {
         self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Opens a session for `req`: gates the estimated compile cost
-    /// against `req.budget.max_circuit_cost`, charges the session
-    /// against the tenant's open-session cap, compiles (or fetches from
-    /// the cache) the lineage, prices it under the database
-    /// probabilities, and returns the new session's id.
+    /// Opens a session for `req`: charges the session against the
+    /// tenant's open-session cap, admits the lineage under
+    /// `req.budget.max_circuit_cost` exactly as the router does (cache
+    /// first: a resident lineage reuses the estimate stored with its
+    /// circuit, anything else is estimated and then compiled), prices it
+    /// under the database probabilities, and returns the new session's
+    /// id.
     pub fn open_session(&self, req: &EvalRequest) -> Result<u64, SessionError> {
         let cap = self.max_sessions_per_tenant;
         let over_cap = |sessions: &HashMap<u64, SessionSlot>| {
@@ -362,15 +365,16 @@ impl Engine {
         if over_cap(&self.lock_sessions()) {
             return Err(limit());
         }
-        let lin = lineage(&req.query, &req.tid);
-        let cost = circuit_cost_estimate(&lin.cnf);
-        if !cost.within(req.budget.max_circuit_cost) {
-            return Err(SessionError::Cost {
-                estimated: cost.estimated_nodes,
-                cap: req.budget.max_circuit_cost,
-            });
-        }
-        let compiled = self.compile_lineage(lin);
+        let max_cost = req.budget.max_circuit_cost;
+        let compiled = match self.admit(lineage(&req.query, &req.tid), max_cost, || {}) {
+            Admission::Resident(compiled, _) | Admission::CompiledNow(compiled, _) => compiled,
+            Admission::OverBudget(cost, _) => {
+                return Err(SessionError::Cost {
+                    estimated: cost.estimated_nodes,
+                    cap: max_cost,
+                })
+            }
+        };
         let session = compiled.open_session(&TupleWeights::new());
         let mut sessions = self.lock_sessions();
         // Re-check under the lock: a racing open may have filled the cap

@@ -4,10 +4,12 @@
 //! unsafe ⇒ #P-hard in general), but on the unsafe side every concrete
 //! instance still admits exact evaluation by knowledge compilation — the
 //! only question is whether the circuit stays affordable. This module
-//! supplies the router's second input: a cheap, deterministic upper-bound
-//! estimate of the Shannon-compilation cost of a lineage, so callers can
-//! decide *before* compiling whether to take the exact circuit path or fall
-//! back to the `gfomc-approx` sampler.
+//! supplies the router's second input: a deterministic, work-bounded
+//! upper-bound estimate of the Shannon-compilation cost of a lineage, so
+//! callers can decide *before* compiling whether to take the exact circuit
+//! path or fall back to the `gfomc-approx` sampler. The estimate is a pure
+//! function of the canonical CNF, so the engine computes it once per
+//! cached lineage and stores it next to the circuit.
 //!
 //! Two bounds are reported. [`CircuitCostEstimate::worst_case_nodes`] is
 //! the monolithic classic: `Σ_components clauses_c · 2^vars_c` — one
@@ -51,8 +53,12 @@ use gfomc_logic::Cnf;
 const EXPONENT_CLAMP: usize = 40;
 
 /// Total decision expansions the refined descent may spend before falling
-/// back to leaf bounds — keeps the estimate zero-cost relative to an
-/// actual compilation, whatever the lineage.
+/// back to leaf bounds — caps the estimate's work whatever the lineage.
+/// The cap bounds the descent, not its price next to a compilation: on
+/// small unsafe 3×3 block lineages one estimate costs about as much as
+/// compiling the lineage outright (~320 µs against ~400 µs), which is why
+/// the engine stores each estimate with its cached circuit instead of
+/// recomputing it per request.
 const WORK_BUDGET: u32 = 600;
 
 /// Single components at most this many variables take the closed-form leaf
@@ -165,22 +171,21 @@ impl core::str::FromStr for CircuitCostEstimate {
 /// module docs); [`CircuitCostEstimate::within`] — the router's question —
 /// is answered by the refined one.
 ///
-/// Deterministic and cheap by construction: the descent performs a fixed
+/// Deterministic and bounded by construction: the descent performs a fixed
 /// maximum number of decision expansions regardless of the lineage, then
-/// degrades to the closed-form leaf bound.
+/// degrades to the closed-form leaf bound. Each level of the descent splits
+/// its formula into components once and reads every component's variables
+/// once; both bounds and the variable count come out of that one split.
 pub fn circuit_cost_estimate(f: &Cnf) -> CircuitCostEstimate {
-    let vars = f.vars().len();
-    let clauses = f.len();
     let comps = f.components();
-    let worst_case = leaf_bound(f);
     let mut work = WORK_BUDGET;
-    let estimated = refined_bound(f, &mut work);
+    let bounds = split_bounds(&comps, &mut work);
     CircuitCostEstimate {
-        vars,
-        clauses,
+        vars: bounds.vars,
+        clauses: f.len(),
         components: comps.len(),
-        estimated_nodes: estimated.min(worst_case),
-        worst_case_nodes: worst_case,
+        estimated_nodes: bounds.refined.min(bounds.leaf),
+        worst_case_nodes: bounds.leaf,
     }
 }
 
@@ -189,53 +194,59 @@ fn pow2_clamped(e: usize) -> u64 {
     1u64 << e.min(EXPONENT_CLAMP)
 }
 
-/// The closed-form bound `Σ_components clauses_c · 2^min(vars_c, 40)`:
-/// each of the up to `2^vars` cofactors of a component touches every
-/// clause at most once; components are independent, so their bounds add.
-fn leaf_bound(f: &Cnf) -> u64 {
-    if f.is_true() {
-        return 0;
-    }
-    if f.is_false() {
-        return 1;
-    }
-    let comps = f.components();
-    if comps.len() == 1 {
-        return (f.len().max(1) as u64).saturating_mul(pow2_clamped(f.vars().len()));
-    }
-    comps
-        .iter()
-        .map(|c| (c.len().max(1) as u64).saturating_mul(pow2_clamped(c.vars().len())))
-        .fold(0u64, u64::saturating_add)
+/// Both bounds of one formula, computed from its components.
+struct Bounds {
+    /// The refined recursive bound.
+    refined: u64,
+    /// The closed-form bound `Σ_components clauses_c · 2^min(vars_c, 40)`:
+    /// each of the up to `2^vars` cofactors of a component touches every
+    /// clause at most once; components are independent, so their bounds
+    /// add.
+    leaf: u64,
+    /// Variables of the formula (components are variable-disjoint, so
+    /// their counts add).
+    vars: usize,
 }
 
-/// The refined recursive bound, following exactly the branch variable the
+/// [`Bounds`] of the formula whose connected components are `comps`. A
+/// single component is priced on its own; several cost one product gate
+/// plus the sum of their parts. `⊤` (no components) has closed form 0 and
+/// refined bound 1; `⊥` (one empty component) has both bounds 1.
+fn split_bounds(comps: &[Cnf], work: &mut u32) -> Bounds {
+    let mut bounds = Bounds {
+        // The product gate joining several components (`⊤`'s lone gate
+        // when there are none); a single component needs no join.
+        refined: u64::from(comps.len() != 1),
+        leaf: 0,
+        vars: 0,
+    };
+    for c in comps {
+        let vars = c.vars().len();
+        let leaf = (c.len().max(1) as u64).saturating_mul(pow2_clamped(vars));
+        let refined = refined_component(c, vars, leaf, work);
+        bounds.refined = bounds.refined.saturating_add(refined);
+        bounds.leaf = bounds.leaf.saturating_add(leaf);
+        bounds.vars += vars;
+    }
+    bounds
+}
+
+/// The refined bound of one connected component with `vars` variables and
+/// closed-form bound `leaf`, following exactly the branch variable the
 /// compiler will use ([`Cnf::branching_var`]) so the result is a sound
-/// upper bound of the compiler's memoization-free expansion. `work` is
-/// the shared expansion budget; when it runs dry, subtrees fall back to
-/// [`leaf_bound`].
-fn refined_bound(f: &Cnf, work: &mut u32) -> u64 {
-    if f.is_true() || f.is_false() {
-        return 1;
-    }
-    let comps = f.components();
-    if comps.len() > 1 {
-        // Independent components: one product gate plus the sum of parts.
-        return comps
-            .iter()
-            .map(|c| refined_bound(c, work))
-            .fold(1u64, u64::saturating_add);
-    }
-    if f.vars().len() <= LEAF_VARS || *work == 0 {
-        return leaf_bound(f);
+/// upper bound of the compiler's memoization-free expansion. `work` is the
+/// shared expansion budget; when it runs dry, subtrees fall back to their
+/// closed form.
+fn refined_component(f: &Cnf, vars: usize, leaf: u64, work: &mut u32) -> u64 {
+    if vars <= LEAF_VARS || *work == 0 {
+        return leaf;
     }
     *work -= 1;
     let v = f.branching_var().expect("non-constant CNF has variables");
-    let hi = refined_bound(&f.restrict(v, true), work);
-    let lo = refined_bound(&f.restrict(v, false), work);
-    let branched = hi.saturating_add(lo).saturating_add(1);
+    let hi = split_bounds(&f.restrict(v, true).components(), work).refined;
+    let lo = split_bounds(&f.restrict(v, false).components(), work).refined;
     // The refinement may never exceed what the closed form promises.
-    branched.min(leaf_bound(f))
+    hi.saturating_add(lo).saturating_add(1).min(leaf)
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ pub mod http;
 use gfomc_engine::{Engine, EvalRequest, SessionError, SessionWireError};
 use http::{read_request, write_response, Request, Response};
 use std::io::{self, BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -203,8 +203,16 @@ impl Server {
     /// Runs the accept loop on the calling thread until
     /// [`ServerHandle::stop`] flips the shutdown flag (or the listener
     /// dies). Each accepted connection gets its own thread running the
-    /// keep-alive request loop.
+    /// keep-alive request loop. On shutdown the loop drains: every open
+    /// connection's read side is half-closed, so it answers the request
+    /// it is serving and exits, and the loop returns only once every
+    /// connection thread has exited.
     pub fn run(self) {
+        // Open connections: the shared socket (to half-close it on
+        // shutdown) and the thread serving it (to join it). Finished
+        // entries are pruned at every accept, so the list stays as long as
+        // the number of open connections.
+        let mut open: Vec<(Arc<TcpStream>, thread::JoinHandle<()>)> = Vec::new();
         for stream in self.listener.incoming() {
             if self.shutdown.load(Ordering::Acquire) {
                 break;
@@ -213,11 +221,22 @@ impl Server {
             // Responses are flushed whole from a BufWriter; Nagle would
             // only add a delayed-ACK stall on top.
             stream.set_nodelay(true).ok();
+            open.retain(|(_, conn)| !conn.is_finished());
+            let stream = Arc::new(stream);
+            let served = Arc::clone(&stream);
             let engine = Arc::clone(&self.engine);
             let gate = Arc::clone(&self.gate);
-            thread::spawn(move || {
-                let _ = serve_connection(&engine, &gate, stream);
+            let conn = thread::spawn(move || {
+                let _ = serve_connection(&engine, &gate, &served);
+                // Close now rather than when the accept loop prunes its
+                // handle: a client reading to end of stream waits for this.
+                let _ = served.shutdown(Shutdown::Both);
             });
+            open.push((stream, conn));
+        }
+        for (stream, conn) in open {
+            let _ = stream.shutdown(Shutdown::Read);
+            let _ = conn.join();
         }
     }
 
@@ -265,7 +284,11 @@ impl ServerHandle {
     }
 
     /// Stops the accept loop and joins it. Connections already accepted
-    /// finish their in-flight request loop on their own threads.
+    /// answer the request they are serving and then close; `stop`
+    /// returns once every connection thread has exited, so no thread of
+    /// this server outlives it. (Exiting the connection threads before
+    /// the accept thread also lets a server started next reuse this one's
+    /// per-thread allocator state in the same roles.)
     pub fn stop(self) {
         self.shutdown.store(true, Ordering::Release);
         // Unblock the blocking accept with one throwaway connection.
@@ -279,9 +302,9 @@ impl ServerHandle {
 fn serve_connection(
     engine: &Engine,
     gate: &Arc<AdmissionGate>,
-    stream: TcpStream,
+    stream: &TcpStream,
 ) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream);
     // Buffered so each response leaves as one TCP segment (write_response
     // flushes); unbuffered multi-syscall writes re-introduce Nagle stalls.
     let mut writer = BufWriter::new(stream);

@@ -283,6 +283,29 @@ fn shared_engine_caches_across_connections() {
 }
 
 #[test]
+fn stop_drains_open_connections_and_joins_their_threads() {
+    // A keep-alive client is still connected when the server stops: `stop`
+    // closes its connection and returns only once the connection thread
+    // (which holds a reference to the engine) has exited.
+    let handle = spawn(Engine::new());
+    let engine = handle.engine();
+    let mut conn = open(&handle);
+    let body = mixed_requests(0xD7A1, 1).remove(0).to_string();
+    let resp = conn.request("POST", "/eval", &body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    handle.stop();
+    assert_eq!(
+        Arc::strong_count(&engine),
+        1,
+        "a server thread outlived stop"
+    );
+    assert!(
+        conn.request("POST", "/eval", &body).is_err(),
+        "the drained connection is closed"
+    );
+}
+
+#[test]
 fn metrics_and_slow_expose_the_request_telemetry() {
     // Zero slow threshold: every request lands in the slow log.
     let handle = spawn(Engine::builder().slow_threshold_nanos(0).build());
