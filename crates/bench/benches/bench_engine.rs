@@ -72,31 +72,6 @@ fn bench_engine_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Parallel batch evaluation: the same compiled circuit priced under a
-/// wider weighting sweep on 1/2/4 threads. Results are bit-identical
-/// across rows (exact rational arithmetic); only wall-clock moves.
-fn bench_engine_batch_parallel(c: &mut Criterion) {
-    let q = catalog::h1();
-    let mut rng = StdRng::seed_from_u64(0xB10C);
-    let tid = random_block_tid(&mut rng, &q, 3, 3);
-    let compiled = Engine::new().compile(&q, &tid);
-    let weightings = random_weightings(&mut rng, &compiled.tuples(), 64);
-    let expect = compiled.evaluate_batch(&weightings);
-    let mut group = c.benchmark_group("engine_batch_parallel_h1_3x3_64w");
-    for threads in [1usize, 2, 4] {
-        assert_eq!(
-            expect,
-            compiled.evaluate_batch_threads(&weightings, threads)
-        );
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| b.iter(|| compiled.evaluate_batch_threads(&weightings, threads)),
-        );
-    }
-    group.finish();
-}
-
 /// The compilation cache on a repeated-compile workload: the second and
 /// later `Engine::compile` calls for the same canonical lineage are cache
 /// hits (an `Arc` bump plus a fresh var table), not recompilations.
@@ -186,7 +161,6 @@ fn bench_interval_vs_exact(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine_batch,
-    bench_engine_batch_parallel,
     bench_engine_cache,
     bench_engine_batch_h2,
     bench_flat_vs_tree,

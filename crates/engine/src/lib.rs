@@ -62,7 +62,7 @@ pub use session::{
 // `Trace`, and the slow-query ring buffer is a `SlowLog`.
 pub use gfomc_obs::{HistogramSnapshot, Registry, SlowLog, Trace};
 
-use gfomc_arith::{Interval, Rational};
+use gfomc_arith::Rational;
 use gfomc_logic::{Circuit, Cnf, CnfId, CnfInterner, EvalArena, FlatCircuit, WeightsFromFn};
 use gfomc_obs::Counter;
 use gfomc_pool::WorkerPool;
@@ -763,11 +763,11 @@ pub fn probability(q: &BipartiteQuery, tid: &Tid) -> Rational {
 ///
 /// The circuit is held in struct-of-arrays form ([`FlatCircuit`]), so
 /// every evaluation is one forward loop over dense slices with weights
-/// resolved once per distinct tuple — and an interval fast path
-/// ([`Compiled::evaluate_db_interval`]) is available when a certified
-/// enclosure suffices. All `Rational`-returning methods stay bit-identical
-/// to the tree evaluator (the flat exact pass replays the same gate
-/// arithmetic).
+/// resolved once per distinct tuple — and a threshold comparison
+/// ([`Compiled::certify_le_db`]) is answered by the certified interval
+/// pass whenever its enclosure decides it. All `Rational`-returning
+/// methods stay bit-identical to the tree evaluator (the flat exact pass
+/// replays the same gate arithmetic).
 ///
 /// Deterministic tuples (probability 0 or 1 in the source TID) were folded
 /// away during grounding, so the circuit's variables are exactly the
@@ -792,13 +792,6 @@ impl Compiled {
         self.circuit.eval_exact_with(self.vars.weights(), arena)
     }
 
-    /// A certified interval enclosure of [`Compiled::evaluate_db`] — the
-    /// fast path for callers that only need a comparison. The exact value
-    /// is guaranteed to lie within the returned bounds.
-    pub fn evaluate_db_interval(&self) -> Interval {
-        self.circuit.eval_interval(self.vars.weights())
-    }
-
     /// Decides `Pr ≤ t` under the database weights: interval fast path
     /// first, escalating to exact evaluation only when the enclosure
     /// cannot certify the comparison. Returns `(answer,
@@ -812,8 +805,7 @@ impl Compiled {
     /// Evaluates the circuit under `weights`: each uncertain tuple takes
     /// its override if present, its database probability otherwise.
     pub fn evaluate(&self, weights: &TupleWeights) -> Rational {
-        let mut arena = EvalArena::new();
-        self.evaluate_with(weights, &mut arena)
+        self.evaluate_with(weights, &mut EvalArena::new())
     }
 
     /// [`Compiled::evaluate`] with a caller-provided values arena, so a
@@ -821,13 +813,8 @@ impl Compiled {
     /// fresh values vector per assignment. The override lookup runs once
     /// per distinct tuple (the flat slot table), not once per gate.
     pub fn evaluate_with(&self, weights: &TupleWeights, arena: &mut EvalArena) -> Rational {
-        let w = WeightsFromFn(|v| {
-            weights
-                .get(&self.vars.tuple_of(v))
-                .cloned()
-                .unwrap_or_else(|| self.vars.weights()[&v].clone())
-        });
-        self.circuit.eval_exact_with(&w, arena)
+        self.circuit
+            .eval_exact_with(&self.weight_fn(weights), arena)
     }
 
     /// The batched form: one compiled circuit priced under every assignment
@@ -837,19 +824,8 @@ impl Compiled {
     /// order and stays bit-identical to a serial [`Compiled::evaluate`]
     /// loop.
     pub fn evaluate_batch(&self, weights: &[TupleWeights]) -> Vec<Rational> {
-        let mut arena = EvalArena::with_capacity(self.circuit.gate_count());
         let resolved: Vec<_> = weights.iter().map(|w| self.weight_fn(w)).collect();
-        self.circuit.eval_batch_exact_with(&resolved, &mut arena)
-    }
-
-    /// Decides `Pr ≤ t` under every assignment in `weights`: one interval
-    /// batch pass, then exact re-pricing for only the undecided lanes.
-    /// Returns `(answer, fell_back_to_exact)` per assignment, each answer
-    /// agreeing exactly with comparing [`Compiled::evaluate`] against `t`.
-    pub fn certify_le_batch(&self, weights: &[TupleWeights], t: &Rational) -> Vec<(bool, bool)> {
-        let mut arena = EvalArena::new();
-        let resolved: Vec<_> = weights.iter().map(|w| self.weight_fn(w)).collect();
-        self.circuit.le_exact_batch(&resolved, t, &mut arena)
+        self.circuit.evaluate_batch(&resolved)
     }
 
     /// The override-aware weight function of one assignment: each uncertain
@@ -865,33 +841,6 @@ impl Compiled {
                 .cloned()
                 .unwrap_or_else(|| self.vars.weights()[&v].clone())
         })
-    }
-
-    /// [`Compiled::evaluate_batch`] fanned across `threads` workers of the
-    /// process-wide shared [`WorkerPool`] over the shared immutable
-    /// circuit (delegates the fan-out to
-    /// [`FlatCircuit::evaluate_batch_on`]).
-    ///
-    /// Evaluation is exact rational arithmetic, so the output is
-    /// **identical** to the serial batch for every thread count.
-    pub fn evaluate_batch_threads(
-        &self,
-        weights: &[TupleWeights],
-        threads: usize,
-    ) -> Vec<Rational> {
-        self.evaluate_batch_on(WorkerPool::global(), weights, threads)
-    }
-
-    /// [`Compiled::evaluate_batch_threads`] on a caller-provided pool —
-    /// e.g. [`Engine::pool`] to share the engine's workers.
-    pub fn evaluate_batch_on(
-        &self,
-        pool: &WorkerPool,
-        weights: &[TupleWeights],
-        workers: usize,
-    ) -> Vec<Rational> {
-        let resolved: Vec<_> = weights.iter().map(|w| self.weight_fn(w)).collect();
-        self.circuit.evaluate_batch_on(pool, &resolved, workers)
     }
 
     /// The uncertain tuples of the compiled lineage — the tuples whose

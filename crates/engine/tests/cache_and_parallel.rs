@@ -1,5 +1,5 @@
 //! Property suite for the engine's compilation cache, the tightened cost
-//! bound's routing effect, and the parallel batch evaluator.
+//! bound's routing effect, and cache-first routing.
 //!
 //! The contracts under test:
 //!
@@ -10,8 +10,6 @@
 //!   unsafe-but-structured lineages to the exact compiled path where the
 //!   old monolithic `2^vars` bound forced them to the sampler, and the
 //!   compiled answer matches the naive oracle exactly;
-//! * **parallel batches** — `evaluate_batch_threads` is identical to the
-//!   serial batch for every thread count;
 //! * **adaptive routing** — the router's default adaptive mode never draws
 //!   more samples than the fixed mode's budget;
 //! * **estimator soundness and stability** — the refined bound never
@@ -61,19 +59,6 @@ proptest! {
         let ws = gfomc_engine::workload::random_weightings(&mut rng, &support, 3);
         for w in &ws {
             prop_assert_eq!(second.evaluate(w), fresh.evaluate(w));
-        }
-    }
-
-    #[test]
-    fn parallel_batches_match_serial_batches(seed in 0u64..10_000, k in 1usize..10) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let q = random_query(&mut rng, 2, 2, SafetyTarget::Any);
-        let tid = random_block_tid(&mut rng, &q, 2, 2);
-        let compiled = Engine::new().compile(&q, &tid);
-        let ws = gfomc_engine::workload::random_weightings(&mut rng, &compiled.tuples(), k);
-        let serial = compiled.evaluate_batch(&ws);
-        for threads in [2usize, 4] {
-            prop_assert_eq!(&serial, &compiled.evaluate_batch_threads(&ws, threads));
         }
     }
 

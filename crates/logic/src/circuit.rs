@@ -22,11 +22,8 @@
 use crate::cnf::{Cnf, Var};
 use crate::intern::{CnfId, CnfInterner};
 use crate::wmc::WeightFn;
-use gfomc_arith::{Interval, Rational};
-use gfomc_pool::WorkerPool;
+use gfomc_arith::Rational;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Index of a node in a [`Circuit`] or [`Compiler`] pool.
 ///
@@ -253,83 +250,10 @@ impl Circuit {
         }
     }
 
-    /// `Pr(F, w)`: evaluates the circuit bottom-up under `w`.
+    /// `Pr(F, w)`: evaluates the circuit bottom-up under `w` — the
+    /// reference oracle the flat evaluator is checked against.
     pub fn evaluate<W: WeightFn>(&self, w: &W) -> Rational {
-        let mut arena = EvalArena::new();
-        self.evaluate_with(w, &mut arena)
-    }
-
-    /// [`Circuit::evaluate`] with a caller-provided values arena, so a
-    /// loop over many weight functions reuses one allocation instead of
-    /// growing a fresh `Vec<Rational>` per weighting.
-    pub fn evaluate_with<W: WeightFn>(&self, w: &W, arena: &mut EvalArena) -> Rational {
-        evaluate_pool_into(&self.nodes, w, &mut arena.values);
-        arena.values[self.root.0 as usize].clone()
-    }
-
-    /// Evaluates under many weight functions — the compile-once /
-    /// evaluate-many form. Output order matches input order. One values
-    /// arena is reused across the whole batch.
-    pub fn evaluate_batch<W: WeightFn>(&self, weights: &[W]) -> Vec<Rational> {
-        let mut arena = EvalArena::new();
-        weights
-            .iter()
-            .map(|w| self.evaluate_with(w, &mut arena))
-            .collect()
-    }
-
-    /// [`Circuit::evaluate_batch`] fanned across `workers` logical workers
-    /// of the process-wide shared [`WorkerPool`] (no per-call thread
-    /// spawns). Evaluation is exact rational arithmetic, so the output is
-    /// **identical** to the serial [`Circuit::evaluate_batch`] for every
-    /// worker count.
-    pub fn evaluate_batch_threads<W: WeightFn + Sync>(
-        &self,
-        weights: &[W],
-        threads: usize,
-    ) -> Vec<Rational> {
-        self.evaluate_batch_on(WorkerPool::global(), weights, threads)
-    }
-
-    /// [`Circuit::evaluate_batch_threads`] on a caller-provided pool — the
-    /// engine routes its batches through its own shared pool.
-    ///
-    /// Workers claim batch indices from a shared cursor (an idle worker
-    /// steals the next pending weighting rather than owning a fixed
-    /// slice), each with a worker-local values arena; results are
-    /// scattered into their input positions, so the output is identical to
-    /// the serial batch for every worker count and pool size.
-    pub fn evaluate_batch_on<W: WeightFn + Sync>(
-        &self,
-        pool: &WorkerPool,
-        weights: &[W],
-        workers: usize,
-    ) -> Vec<Rational> {
-        let workers = workers.max(1).min(weights.len().max(1));
-        if workers == 1 {
-            return self.evaluate_batch(weights);
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut out: Vec<Option<Rational>> = vec![None; weights.len()];
-        let slots = Mutex::new(&mut out);
-        pool.broadcast(workers, |_| {
-            let mut arena = EvalArena::with_capacity(self.nodes.len());
-            let mut local: Vec<(usize, Rational)> = Vec::new();
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= weights.len() {
-                    break;
-                }
-                local.push((i, self.evaluate_with(&weights[i], &mut arena)));
-            }
-            let mut slots = slots.lock().expect("batch output lock");
-            for (i, value) in local {
-                slots[i] = Some(value);
-            }
-        });
-        out.into_iter()
-            .map(|v| v.expect("every batch index evaluated"))
-            .collect()
+        evaluate_pool(&self.nodes, w).swap_remove(self.root.0 as usize)
     }
 
     /// The root gate.
@@ -357,74 +281,10 @@ impl Circuit {
     }
 }
 
-/// A reusable slab of evaluation buffers shared by the tree and flat
-/// evaluators.
-///
-/// Bottom-up evaluation needs one slot per gate. Allocating those vectors
-/// anew for every weight assignment dominated the batched evaluation
-/// profile; an arena created once and threaded through
-/// [`Circuit::evaluate_with`] / [`crate::flat::FlatCircuit::eval_exact_with`]
-/// keeps the capacity across weightings. The slabs:
-///
-/// * `values` — one exact [`Rational`] per gate (tree and flat exact
-///   passes);
-/// * `intervals` — one [`Interval`] per gate (the flat interval fast
-///   path, plain `Copy` doubles, no heap traffic);
-/// * `slot_weights` / `slot_intervals` — weights resolved once per
-///   *distinct variable* of a [`crate::flat::FlatCircuit`], so the
-///   per-gate loop indexes a dense slice instead of re-querying the
-///   weight function at every leaf and decision;
-/// * `overlay` — a sparse exact overlay for
-///   [`crate::flat::FlatCircuit::eval_exact_at`], re-pricing only the
-///   gates a certification actually needs;
-/// * `slots` / `cells` — the hybrid machine-word lane of the flat exact
-///   pass: per-slot weights with precomputed complements and `Rat64`
-///   forms, and one hybrid value per gate (machine words until an op
-///   overflows, exact bignum after);
-/// * `lane_cells` / `lane_intervals` — the `values[gate][lane]` matrices
-///   of the batch kernels ([`crate::flat::FlatCircuit::eval_batch_exact_with`] /
-///   [`crate::flat::FlatCircuit::eval_batch_interval_with`]), gate-major
-///   so one topological walk prices every weighting of the batch.
-#[derive(Clone, Debug, Default)]
-pub struct EvalArena {
-    pub(crate) values: Vec<Rational>,
-    pub(crate) intervals: Vec<Interval>,
-    pub(crate) slot_weights: Vec<Rational>,
-    pub(crate) slot_intervals: Vec<Interval>,
-    pub(crate) overlay: Vec<Option<Rational>>,
-    pub(crate) slots: Vec<crate::flat::SlotW>,
-    pub(crate) cells: Vec<crate::flat::LaneVal>,
-    pub(crate) lane_cells: Vec<crate::flat::LaneVal>,
-    pub(crate) lane_intervals: Vec<Interval>,
-}
-
-impl EvalArena {
-    /// An empty arena; it grows to the pool size on first use.
-    pub fn new() -> Self {
-        EvalArena::default()
-    }
-
-    /// An arena pre-sized for a pool of `nodes` gates.
-    pub fn with_capacity(nodes: usize) -> Self {
-        EvalArena {
-            values: Vec::with_capacity(nodes),
-            ..EvalArena::default()
-        }
-    }
-}
-
-/// Bottom-up evaluation of a child-before-parent node pool.
+/// Bottom-up evaluation of a child-before-parent node pool: one value
+/// per gate.
 fn evaluate_pool<W: WeightFn>(nodes: &[Node], w: &W) -> Vec<Rational> {
-    let mut values = Vec::new();
-    evaluate_pool_into(nodes, w, &mut values);
-    values
-}
-
-/// [`evaluate_pool`] writing into a reused buffer: clears `values` (keeping
-/// its capacity) and fills it with one value per gate.
-fn evaluate_pool_into<W: WeightFn>(nodes: &[Node], w: &W, values: &mut Vec<Rational>) {
-    values.clear();
-    values.reserve(nodes.len());
+    let mut values = Vec::with_capacity(nodes.len());
     for node in nodes {
         let val = match node {
             Node::True => Rational::one(),
@@ -454,6 +314,7 @@ fn evaluate_pool_into<W: WeightFn>(nodes: &[Node], w: &W, values: &mut Vec<Ratio
         };
         values.push(val);
     }
+    values
 }
 
 #[cfg(test)]
@@ -537,22 +398,8 @@ mod tests {
         let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[3, 4]), cl(&[1, 4])]);
         let c = Circuit::compile(&f);
         let weights: Vec<UniformWeight> = (0..=8).map(|k| UniformWeight(r(k, 8))).collect();
-        let batch = c.evaluate_batch(&weights);
-        for (w, got) in weights.iter().zip(&batch) {
-            assert_eq!(got, &wmc(&f, w));
-        }
-    }
-
-    #[test]
-    fn pooled_batch_matches_serial_batch() {
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[3, 4]), cl(&[1, 4])]);
-        let c = Circuit::compile(&f);
-        let weights: Vec<UniformWeight> = (0..=8).map(|k| UniformWeight(r(k, 8))).collect();
-        let serial = c.evaluate_batch(&weights);
-        let pool = WorkerPool::new(2);
-        for workers in [1usize, 2, 3, 16] {
-            assert_eq!(serial, c.evaluate_batch_on(&pool, &weights, workers));
-            assert_eq!(serial, c.evaluate_batch_threads(&weights, workers));
+        for w in &weights {
+            assert_eq!(c.evaluate(w), wmc(&f, w));
         }
     }
 

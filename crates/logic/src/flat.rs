@@ -16,32 +16,36 @@
 //!   `(off, len)` spans into one packed `children` vector: no per-gate
 //!   allocation anywhere;
 //! * **a distinct-variable slot table** — weights are resolved *once per
-//!   distinct variable* into a dense slice ([`FlatCircuit::resolve_weights`]),
-//!   and the per-gate loop just indexes it;
+//!   distinct variable* into a dense slice, and the per-gate loop just
+//!   indexes it;
+//! * **one gate kernel** — the two gate formulas, `Product = Π children`
+//!   and `Decision = p·hi + (1 − p)·lo`, are written once, generic over a
+//!   value lane: the hybrid exact lane (machine-word rationals that spill
+//!   to bignum) or the certified interval lane. The forward pass on either
+//!   lane, incremental re-pricing ([`crate::priced::PricedCircuit`]) and
+//!   the per-cell arithmetic of the batch kernel all price gates through
+//!   it, so their results agree by construction;
 //! * **interval-first evaluation** — [`FlatCircuit::eval_interval_with`]
 //!   prices every gate in certified outward-rounded `f64`
 //!   ([`Interval`]) at a few nanoseconds per gate; callers that only need
-//!   a comparison consult the certified verdict ([`Certifies`]) and fall
-//!   back to the exact pass ([`FlatCircuit::eval_exact_with`], or the
-//!   per-gate [`FlatCircuit::eval_exact_at`] with its sparse overlay)
-//!   only when the enclosure cannot decide. Whenever an output
-//!   `Rational` (not just a comparison) is demanded, the exact pass runs
-//!   in full — results stay bit-identical to the tree evaluator.
+//!   a comparison consult the certified verdict ([`Certifies`]), and
+//!   [`FlatCircuit::le_exact`] falls back to the exact forward pass only
+//!   when the enclosure cannot decide. Whenever an output `Rational` (not
+//!   just a comparison) is demanded, the exact pass runs in full —
+//!   results stay bit-identical to the tree evaluator.
 //!
 //! Exactness contract: for every circuit and every weight function,
 //! `flat.eval_exact(w) == tree.evaluate(w) == wmc_brute_force(f, w)`
 //! (`Rational` equality, i.e. bit identity in lowest terms) — enforced by
 //! `tests/flat_suite.rs` and the engine's property suites.
 
-use crate::circuit::{Circuit, Compiler, EvalArena, Node, Valuation};
+use crate::circuit::{Circuit, Compiler, Node, Valuation};
 use crate::cnf::Var;
 use crate::wmc::WeightFn;
 use gfomc_arith::{Certifies, Interval, Rat64, Rational};
-use gfomc_pool::WorkerPool;
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cap on `gates × lanes` hybrid cells held live by one batch-kernel
 /// call; batches wider than `MAX_BATCH_CELLS / gate_count` lanes are
@@ -62,14 +66,6 @@ pub(crate) enum LaneVal {
 }
 
 impl LaneVal {
-    #[inline]
-    pub(crate) fn is_zero(&self) -> bool {
-        match self {
-            LaneVal::S(r) => r.is_zero(),
-            LaneVal::B(r) => r.is_zero(),
-        }
-    }
-
     /// The exact value, materialized (canonical lowest terms either way).
     #[inline]
     pub(crate) fn to_rational(&self) -> Rational {
@@ -101,45 +97,116 @@ impl SlotW {
             pc,
         }
     }
+}
 
-    /// The leaf value `w(v)` as a lane.
+/// A value lane of the gate kernel ([`FlatCircuit::price`]): the
+/// arithmetic one gate formula needs, and nothing else. Two impls — the
+/// hybrid exact lane ([`LaneVal`], weighted by [`SlotW`]) and the
+/// certified interval lane ([`Interval`]).
+pub(crate) trait Lane {
+    /// One distinct variable's resolved weight.
+    type Weight;
+    /// The constant gate: `1` when `one`, else `0`.
+    fn constant(one: bool) -> Self;
+    /// The leaf value `w(v)`.
+    fn leaf(w: &Self::Weight) -> Self;
+    /// One step of a Product: `self · kid`.
+    fn times(&self, kid: &Self) -> Self;
+    /// Whether a Product may stop here: no later factor can move the value.
+    fn absorbing(&self) -> bool;
+    /// The Shannon gate `w·hi + (1 − w)·lo`.
+    fn decide(w: &Self::Weight, hi: &Self, lo: &Self) -> Self;
+}
+
+/// Exact arithmetic in machine words unless an operand already spilled or
+/// an op overflows. A Product stops at its first zero factor.
+impl Lane for LaneVal {
+    type Weight = SlotW;
+
     #[inline]
-    pub(crate) fn leaf(&self) -> LaneVal {
-        match self.ps {
+    fn constant(one: bool) -> Self {
+        LaneVal::S(if one { Rat64::ONE } else { Rat64::ZERO })
+    }
+
+    #[inline]
+    fn leaf(w: &SlotW) -> Self {
+        match w.ps {
             Some(r) => LaneVal::S(r),
-            None => LaneVal::B(self.p.clone()),
+            None => LaneVal::B(w.p.clone()),
         }
     }
-}
 
-/// `a · b` on hybrid lanes: machine words unless an operand already
-/// spilled or the product overflows.
-#[inline]
-pub(crate) fn mul_lane(a: &LaneVal, b: &LaneVal) -> LaneVal {
-    match (a, b) {
-        (LaneVal::S(x), LaneVal::S(y)) => match x.checked_mul(*y) {
-            Some(r) => LaneVal::S(r),
-            None => LaneVal::B(&Rational::from(*x) * &Rational::from(*y)),
-        },
-        (a, b) => LaneVal::B(&a.to_rational() * &b.to_rational()),
+    #[inline]
+    fn times(&self, kid: &Self) -> Self {
+        match (self, kid) {
+            (LaneVal::S(x), LaneVal::S(y)) => match x.checked_mul(*y) {
+                Some(r) => LaneVal::S(r),
+                None => LaneVal::B(&Rational::from(*x) * &Rational::from(*y)),
+            },
+            (a, b) => LaneVal::B(&a.to_rational() * &b.to_rational()),
+        }
     }
-}
 
-/// The Shannon gate `w·hi + (1 − w)·lo` on hybrid lanes.
-#[inline]
-pub(crate) fn decision_lane(s: &SlotW, hi: &LaneVal, lo: &LaneVal) -> LaneVal {
-    if let (Some(p), Some(pc), LaneVal::S(h), LaneVal::S(l)) = (s.ps, s.pcs, hi, lo) {
-        if let Some(t1) = p.checked_mul(*h) {
-            if let Some(t2) = pc.checked_mul(*l) {
-                if let Some(r) = t1.checked_add(t2) {
-                    return LaneVal::S(r);
+    #[inline]
+    fn absorbing(&self) -> bool {
+        match self {
+            LaneVal::S(r) => r.is_zero(),
+            LaneVal::B(r) => r.is_zero(),
+        }
+    }
+
+    #[inline]
+    fn decide(w: &SlotW, hi: &Self, lo: &Self) -> Self {
+        if let (Some(p), Some(pc), LaneVal::S(h), LaneVal::S(l)) = (w.ps, w.pcs, hi, lo) {
+            if let Some(t1) = p.checked_mul(*h) {
+                if let Some(t2) = pc.checked_mul(*l) {
+                    if let Some(r) = t1.checked_add(t2) {
+                        return LaneVal::S(r);
+                    }
                 }
             }
         }
+        let hi = hi.to_rational();
+        let lo = lo.to_rational();
+        LaneVal::B(&(&w.p * &hi) + &(&w.pc * &lo))
     }
-    let hi = hi.to_rational();
-    let lo = lo.to_rational();
-    LaneVal::B(&(&s.p * &hi) + &(&s.pc * &lo))
+}
+
+/// Certified outward-rounded enclosures. Every gate value of a monotone
+/// circuit under probability weights is itself a probability, so each
+/// step intersects with `[0, 1]` ([`Interval::clamp_unit`]) to undo the
+/// outward nudges' drift; a Product never stops early.
+impl Lane for Interval {
+    type Weight = Interval;
+
+    #[inline]
+    fn constant(one: bool) -> Self {
+        if one {
+            Interval::ONE
+        } else {
+            Interval::ZERO
+        }
+    }
+
+    #[inline]
+    fn leaf(w: &Interval) -> Self {
+        *w
+    }
+
+    #[inline]
+    fn times(&self, kid: &Self) -> Self {
+        self.mul(kid).clamp_unit()
+    }
+
+    #[inline]
+    fn absorbing(&self) -> bool {
+        false
+    }
+
+    #[inline]
+    fn decide(w: &Interval, hi: &Self, lo: &Self) -> Self {
+        w.mul(hi).add(&w.one_minus().mul(lo)).clamp_unit()
+    }
 }
 
 /// Process-wide count of interval-evaluation fallbacks to exact
@@ -291,210 +358,96 @@ impl FlatCircuit {
         &self.children[off..off + self.len[g] as usize]
     }
 
-    /// Resolves `w` into one exact weight per distinct variable, in slot
-    /// order — the per-weighting setup that lets the per-gate loop index a
-    /// dense slice instead of re-querying `w` at every leaf and decision.
-    pub fn resolve_weights<W: WeightFn>(&self, w: &W, out: &mut Vec<Rational>) {
-        out.clear();
-        out.reserve(self.vars.len());
-        for &v in &self.vars {
+    /// Resolves `w` into one [`SlotW`] per distinct variable, appended to
+    /// `out` in slot order — the one place a weight function enters the
+    /// flat evaluator, checking each weight is a probability.
+    fn resolve<W: WeightFn>(&self, w: &W, out: &mut Vec<SlotW>) {
+        out.extend(self.vars.iter().map(|&v| {
             let p = w.weight(v);
             assert!(p.is_probability(), "weight out of [0,1] for {v:?}");
-            out.push(p);
-        }
+            SlotW::new(p)
+        }));
     }
 
-    /// Resolves `w` into one [`SlotW`] per distinct variable: weight,
-    /// complement (once per variable, not once per decision gate), and
-    /// their machine-word forms.
-    pub(crate) fn resolve_slots<W: WeightFn>(&self, w: &W, out: &mut Vec<SlotW>) {
-        out.clear();
-        out.reserve(self.vars.len());
-        for &v in &self.vars {
-            let p = w.weight(v);
-            assert!(p.is_probability(), "weight out of [0,1] for {v:?}");
-            out.push(SlotW::new(p));
-        }
-    }
-
-    /// The hybrid exact forward pass: one [`LaneVal`] per gate. Values
-    /// stay in machine words ([`Rat64`]) until an op overflows, then spill
-    /// to bignum — either way exact and in lowest terms, so the pass is
-    /// bit-identical to an all-bignum evaluation.
-    pub(crate) fn eval_cells_into(&self, slots: &[SlotW], cells: &mut Vec<LaneVal>) {
-        cells.clear();
-        cells.reserve(self.ops.len());
-        for g in 0..self.ops.len() {
-            let val = match self.ops[g] {
-                Op::True => LaneVal::S(Rat64::ONE),
-                Op::False => LaneVal::S(Rat64::ZERO),
-                Op::Leaf => slots[self.var_slot[g] as usize].leaf(),
-                Op::Product => {
-                    let mut acc = LaneVal::S(Rat64::ONE);
-                    for &k in self.kids(g) {
-                        acc = mul_lane(&acc, &cells[k as usize]);
-                        if acc.is_zero() {
-                            break;
-                        }
+    /// The gate kernel: gate `g`'s value on lane `L`, from the per-slot
+    /// weights `w` and its children's values `val(child)`. Every pricing
+    /// pass — the forward pass on both lanes and incremental re-pricing —
+    /// runs this one function, so their values agree by construction.
+    #[inline]
+    pub(crate) fn price<'a, L: Lane + 'a>(
+        &self,
+        g: usize,
+        w: &[L::Weight],
+        val: impl Fn(u32) -> &'a L,
+    ) -> L {
+        match self.ops[g] {
+            Op::False => L::constant(false),
+            Op::True => L::constant(true),
+            Op::Leaf => L::leaf(&w[self.var_slot[g] as usize]),
+            Op::Product => {
+                let mut acc = L::constant(true);
+                for &k in self.kids(g) {
+                    acc = acc.times(val(k));
+                    if acc.absorbing() {
+                        break;
                     }
-                    acc
                 }
-                Op::Decision => {
-                    let s = &slots[self.var_slot[g] as usize];
-                    let kids = self.kids(g);
-                    decision_lane(s, &cells[kids[0] as usize], &cells[kids[1] as usize])
-                }
-            };
-            cells.push(val);
+                acc
+            }
+            Op::Decision => {
+                let kids = self.kids(g);
+                L::decide(&w[self.var_slot[g] as usize], val(kids[0]), val(kids[1]))
+            }
         }
     }
 
-    /// The exact forward pass: one value per gate into `values`. `w` must
-    /// be slot-resolved weights ([`FlatCircuit::resolve_weights`]).
-    fn eval_exact_into(&self, w: &[Rational], values: &mut Vec<Rational>) {
-        let slots: Vec<SlotW> = w.iter().map(|p| SlotW::new(p.clone())).collect();
-        let mut cells = Vec::new();
-        self.eval_cells_into(&slots, &mut cells);
-        values.clear();
-        values.reserve(cells.len());
-        values.extend(cells.iter().map(LaneVal::to_rational));
-    }
-
-    /// The interval forward pass: one certified enclosure per gate.
-    ///
-    /// Every gate value of a monotone circuit under probability weights is
-    /// itself a probability, so each step intersects with `[0, 1]`
-    /// ([`Interval::clamp_unit`]) to undo the outward nudges' drift.
-    pub(crate) fn eval_interval_into(&self, w: &[Interval], out: &mut Vec<Interval>) {
+    /// The forward pass on lane `L`: every gate priced by the gate kernel
+    /// in id order (children before parents), one value per gate into
+    /// `out`.
+    pub(crate) fn forward<L: Lane>(&self, w: &[L::Weight], out: &mut Vec<L>) {
         out.clear();
         out.reserve(self.ops.len());
         for g in 0..self.ops.len() {
-            let iv = match self.ops[g] {
-                Op::True => Interval::ONE,
-                Op::False => Interval::ZERO,
-                Op::Leaf => w[self.var_slot[g] as usize],
-                Op::Product => {
-                    let mut acc = Interval::ONE;
-                    for &k in self.kids(g) {
-                        acc = acc.mul(&out[k as usize]).clamp_unit();
-                    }
-                    acc
-                }
-                Op::Decision => {
-                    let p = &w[self.var_slot[g] as usize];
-                    let kids = self.kids(g);
-                    let hi = &out[kids[0] as usize];
-                    let lo = &out[kids[1] as usize];
-                    p.mul(hi).add(&p.one_minus().mul(lo)).clamp_unit()
-                }
-            };
-            out.push(iv);
+            let v = self.price(g, w, |k| &out[k as usize]);
+            out.push(v);
         }
     }
 
     /// `Pr(F, w)` exactly, reusing the arena's slabs across weightings.
-    /// Bit-identical to [`Circuit::evaluate_with`] on the tree form; only
-    /// the root value is materialized as a [`Rational`] — interior gates
-    /// stay in the hybrid machine-word lane.
+    /// Bit-identical to [`Circuit::evaluate`] on the tree form; only the
+    /// root value is materialized as a [`Rational`] — interior gates stay
+    /// in the hybrid machine-word lane.
     pub fn eval_exact_with<W: WeightFn>(&self, w: &W, arena: &mut EvalArena) -> Rational {
-        self.resolve_slots(w, &mut arena.slots);
-        let (slots, cells) = (&arena.slots, &mut arena.cells);
-        self.eval_cells_into(slots, cells);
-        cells[self.root as usize].to_rational()
+        arena.slots.clear();
+        self.resolve(w, &mut arena.slots);
+        self.forward(&arena.slots, &mut arena.cells);
+        arena.cells[self.root as usize].to_rational()
     }
 
     /// `Pr(F, w)` exactly, with a throwaway arena.
     pub fn eval_exact<W: WeightFn>(&self, w: &W) -> Rational {
-        let mut arena = EvalArena::with_capacity(self.gate_count());
-        self.eval_exact_with(w, &mut arena)
+        self.eval_exact_with(w, &mut EvalArena::new())
     }
 
     /// A certified enclosure of `Pr(F, w)` — the fast path. Converts each
     /// distinct weight with directed rounding, then runs the interval
-    /// forward pass (plain `Copy` doubles, no heap traffic).
+    /// forward pass (plain `Copy` doubles, no heap traffic). The exact
+    /// weights stay resolved in the arena for [`FlatCircuit::le_exact`]'s
+    /// fallback.
     pub fn eval_interval_with<W: WeightFn>(&self, w: &W, arena: &mut EvalArena) -> Interval {
-        self.resolve_weights(w, &mut arena.slot_weights);
+        arena.slots.clear();
+        self.resolve(w, &mut arena.slots);
         arena.slot_intervals.clear();
         arena
             .slot_intervals
-            .extend(arena.slot_weights.iter().map(Interval::from_probability));
-        let (slots, intervals) = (&arena.slot_intervals, &mut arena.intervals);
-        self.eval_interval_into(slots, intervals);
-        intervals[self.root as usize]
+            .extend(arena.slots.iter().map(|s| Interval::from_probability(&s.p)));
+        self.forward(&arena.slot_intervals, &mut arena.intervals);
+        arena.intervals[self.root as usize]
     }
 
     /// A certified enclosure of `Pr(F, w)`, with a throwaway arena.
     pub fn eval_interval<W: WeightFn>(&self, w: &W) -> Interval {
-        let mut arena = EvalArena::new();
-        self.eval_interval_with(w, &mut arena)
-    }
-
-    /// Exact value of a single gate, re-pricing **only the gates reachable
-    /// from it** through the arena's sparse overlay.
-    ///
-    /// This is the per-gate fallback of interval-first evaluation: after a
-    /// fast interval pass, a caller that needs one undecided gate exactly
-    /// pays for that gate's cone, not the whole pool — and repeated calls
-    /// share the overlay, so common sub-cones are priced once. The overlay
-    /// is keyed to one (circuit, weighting) pair; callers switching either
-    /// must reset it via [`EvalArena::default`]-fresh slabs (the engine's
-    /// evaluate paths do this by construction, resolving weights first).
-    ///
-    /// `w` must be the slot-resolved weights from
-    /// [`FlatCircuit::resolve_weights`].
-    pub fn eval_exact_at(
-        &self,
-        gate: u32,
-        w: &[Rational],
-        overlay: &mut Vec<Option<Rational>>,
-    ) -> Rational {
-        if overlay.len() < self.ops.len() {
-            overlay.resize(self.ops.len(), None);
-        }
-        let mut stack: Vec<(u32, bool)> = vec![(gate, false)];
-        while let Some((g, expanded)) = stack.pop() {
-            let gi = g as usize;
-            if overlay[gi].is_some() {
-                continue;
-            }
-            if !expanded {
-                match self.ops[gi] {
-                    Op::True => overlay[gi] = Some(Rational::one()),
-                    Op::False => overlay[gi] = Some(Rational::zero()),
-                    Op::Leaf => {
-                        overlay[gi] = Some(w[self.var_slot[gi] as usize].clone());
-                    }
-                    Op::Product | Op::Decision => {
-                        stack.push((g, true));
-                        stack.extend(self.kids(gi).iter().map(|&k| (k, false)));
-                    }
-                }
-            } else {
-                let val = match self.ops[gi] {
-                    Op::Product => {
-                        let mut acc = Rational::one();
-                        for &k in self.kids(gi) {
-                            let kid = overlay[k as usize].as_ref().expect("child priced");
-                            acc = &acc * kid;
-                            if acc.is_zero() {
-                                break;
-                            }
-                        }
-                        acc
-                    }
-                    Op::Decision => {
-                        let p = &w[self.var_slot[gi] as usize];
-                        let kids = self.kids(gi);
-                        let hi = overlay[kids[0] as usize].as_ref().expect("child priced");
-                        let lo = overlay[kids[1] as usize].as_ref().expect("child priced");
-                        &(p * hi) + &(&p.complement() * lo)
-                    }
-                    _ => unreachable!("constants and leaves priced on first visit"),
-                };
-                overlay[gi] = Some(val);
-            }
-        }
-        overlay[gate as usize].clone().expect("root priced")
+        self.eval_interval_with(w, &mut EvalArena::new())
     }
 
     /// Certified verdict for `Pr(F, w) ≤ t` from the interval pass alone
@@ -503,8 +456,9 @@ impl FlatCircuit {
         self.eval_interval_with(w, arena).proves_le_rational(t)
     }
 
-    /// Definite answer for `Pr(F, w) ≤ t`: interval fast path first, exact
-    /// re-pricing of the root's cone only on [`Certifies::Unknown`].
+    /// Definite answer for `Pr(F, w) ≤ t`: interval fast path first, the
+    /// exact forward pass only on [`Certifies::Unknown`] (counted by
+    /// [`interval_fallbacks_total`] / [`interval_fallbacks_thread`]).
     /// Returns `(answer, fell_back_to_exact)`.
     pub fn le_exact<W: WeightFn>(
         &self,
@@ -517,9 +471,9 @@ impl FlatCircuit {
             Certifies::Unknown => {
                 INTERVAL_FALLBACKS.fetch_add(1, Ordering::Relaxed);
                 INTERVAL_FALLBACKS_THREAD.with(|c| c.set(c.get() + 1));
-                arena.overlay.clear();
-                let exact = self.eval_exact_at(self.root, &arena.slot_weights, &mut arena.overlay);
-                (&exact <= t, true)
+                // The interval pass left `w` resolved in `arena.slots`.
+                self.forward(&arena.slots, &mut arena.cells);
+                (&arena.cells[self.root as usize].to_rational() <= t, true)
             }
         }
     }
@@ -529,11 +483,10 @@ impl FlatCircuit {
     /// pools built by [`Compiler::finish_flat`] (ids are preserved, so
     /// `NodeId`s returned by [`Compiler::compile`] index the result).
     pub fn evaluate_all<W: WeightFn>(&self, w: &W) -> Valuation {
-        let mut arena = EvalArena::with_capacity(self.gate_count());
-        self.resolve_weights(w, &mut arena.slot_weights);
-        self.eval_exact_into(&arena.slot_weights, &mut arena.values);
+        let mut arena = EvalArena::new();
+        self.eval_exact_with(w, &mut arena);
         Valuation {
-            values: std::mem::take(&mut arena.values),
+            values: arena.cells.iter().map(LaneVal::to_rational).collect(),
         }
     }
 
@@ -547,47 +500,41 @@ impl FlatCircuit {
     /// The batch forward pass: fills `arena.lane_cells` with a gate-major
     /// `values[gate][lane]` hybrid matrix — **one** walk of `ops` /
     /// `children` prices all `ws.len()` weightings, so the topological
-    /// scan and children decoding amortize across the batch.
+    /// scan and children decoding amortize across the batch. Each cell is
+    /// priced with the exact lane's gate arithmetic ([`Lane`]), children
+    /// outer and lanes inner.
     fn eval_batch_cells<W: WeightFn>(&self, ws: &[W], arena: &mut EvalArena) {
         let k = ws.len();
-        let nslots = self.vars.len().max(1);
+        let nslots = self.vars.len();
         // Lane-major slot table: lane `l`'s weights at `l*nslots..`.
-        let mut slots: Vec<SlotW> = Vec::with_capacity(k * nslots);
+        arena.slots.clear();
         for w in ws {
-            for &v in &self.vars {
-                let p = w.weight(v);
-                assert!(p.is_probability(), "weight out of [0,1] for {v:?}");
-                slots.push(SlotW::new(p));
-            }
-            if self.vars.is_empty() {
-                slots.push(SlotW::new(Rational::one()));
-            }
+            self.resolve(w, &mut arena.slots);
         }
-        let cells = &mut arena.lane_cells;
+        let (slots, cells) = (&arena.slots, &mut arena.lane_cells);
         cells.clear();
-        cells.resize(self.ops.len() * k, LaneVal::S(Rat64::ZERO));
+        cells.resize(self.ops.len() * k, LaneVal::constant(false));
         for g in 0..self.ops.len() {
-            let row = g * k;
-            // Children precede parents, so rows before `row` are final.
-            let (done, rest) = cells.split_at_mut(row);
+            // Children precede parents, so rows before `g * k` are final.
+            let (done, rest) = cells.split_at_mut(g * k);
             let cur = &mut rest[..k];
+            let row = |kid: u32| &done[kid as usize * k..kid as usize * k + k];
             match self.ops[g] {
-                // `False` rows keep the ZERO fill.
+                // `False` rows keep the zero fill.
                 Op::False => {}
-                Op::True => cur.fill(LaneVal::S(Rat64::ONE)),
+                Op::True => cur.fill(LaneVal::constant(true)),
                 Op::Leaf => {
                     let slot = self.var_slot[g] as usize;
                     for (l, cell) in cur.iter_mut().enumerate() {
-                        *cell = slots[l * nslots + slot].leaf();
+                        *cell = LaneVal::leaf(&slots[l * nslots + slot]);
                     }
                 }
                 Op::Product => {
-                    cur.fill(LaneVal::S(Rat64::ONE));
+                    cur.fill(LaneVal::constant(true));
                     for &kid in self.kids(g) {
-                        let krow = &done[kid as usize * k..kid as usize * k + k];
-                        for (cell, kv) in cur.iter_mut().zip(krow) {
-                            if !cell.is_zero() {
-                                *cell = mul_lane(cell, kv);
+                        for (cell, kv) in cur.iter_mut().zip(row(kid)) {
+                            if !cell.absorbing() {
+                                *cell = cell.times(kv);
                             }
                         }
                     }
@@ -595,10 +542,9 @@ impl FlatCircuit {
                 Op::Decision => {
                     let slot = self.var_slot[g] as usize;
                     let kids = self.kids(g);
-                    let hrow = &done[kids[0] as usize * k..kids[0] as usize * k + k];
-                    let lrow = &done[kids[1] as usize * k..kids[1] as usize * k + k];
+                    let (hrow, lrow) = (row(kids[0]), row(kids[1]));
                     for (l, cell) in cur.iter_mut().enumerate() {
-                        *cell = decision_lane(&slots[l * nslots + slot], &hrow[l], &lrow[l]);
+                        *cell = LaneVal::decide(&slots[l * nslots + slot], &hrow[l], &lrow[l]);
                     }
                 }
             }
@@ -627,104 +573,6 @@ impl FlatCircuit {
         out
     }
 
-    /// Certified root enclosures for a whole batch of weightings in one
-    /// topological walk — the interval-first lane of the batch kernel
-    /// (plain `Copy` doubles, no heap traffic at all).
-    pub fn eval_batch_interval_with<W: WeightFn>(
-        &self,
-        ws: &[W],
-        arena: &mut EvalArena,
-    ) -> Vec<Interval> {
-        let mut out = Vec::with_capacity(ws.len());
-        for ws in ws.chunks(self.batch_chunk_lanes()) {
-            let k = ws.len();
-            let nslots = self.vars.len().max(1);
-            let mut slots: Vec<Interval> = Vec::with_capacity(k * nslots);
-            for w in ws {
-                for &v in &self.vars {
-                    let p = w.weight(v);
-                    assert!(p.is_probability(), "weight out of [0,1] for {v:?}");
-                    slots.push(Interval::from_probability(&p));
-                }
-                if self.vars.is_empty() {
-                    slots.push(Interval::ONE);
-                }
-            }
-            let ivs = &mut arena.lane_intervals;
-            ivs.clear();
-            ivs.resize(self.ops.len() * k, Interval::ZERO);
-            for g in 0..self.ops.len() {
-                let row = g * k;
-                let (done, rest) = ivs.split_at_mut(row);
-                let cur = &mut rest[..k];
-                match self.ops[g] {
-                    Op::False => {}
-                    Op::True => cur.fill(Interval::ONE),
-                    Op::Leaf => {
-                        let slot = self.var_slot[g] as usize;
-                        for (l, iv) in cur.iter_mut().enumerate() {
-                            *iv = slots[l * nslots + slot];
-                        }
-                    }
-                    Op::Product => {
-                        cur.fill(Interval::ONE);
-                        for &kid in self.kids(g) {
-                            let krow = &done[kid as usize * k..kid as usize * k + k];
-                            for (iv, kv) in cur.iter_mut().zip(krow) {
-                                *iv = iv.mul(kv).clamp_unit();
-                            }
-                        }
-                    }
-                    Op::Decision => {
-                        let slot = self.var_slot[g] as usize;
-                        let kids = self.kids(g);
-                        let hrow = &done[kids[0] as usize * k..kids[0] as usize * k + k];
-                        let lrow = &done[kids[1] as usize * k..kids[1] as usize * k + k];
-                        for (l, iv) in cur.iter_mut().enumerate() {
-                            let p = &slots[l * nslots + slot];
-                            *iv = p
-                                .mul(&hrow[l])
-                                .add(&p.one_minus().mul(&lrow[l]))
-                                .clamp_unit();
-                        }
-                    }
-                }
-            }
-            let row = self.root as usize * k;
-            out.extend_from_slice(&ivs[row..row + k]);
-        }
-        out
-    }
-
-    /// Definite answers for `Pr(F, wᵢ) ≤ t` across a batch: one interval
-    /// batch pass first, then an exact re-pricing of the root's cone for
-    /// **only** the lanes whose enclosure straddles `t`. Returns
-    /// `(answer, fell_back_to_exact)` per lane, bit-identical to a serial
-    /// [`FlatCircuit::le_exact`] loop.
-    pub fn le_exact_batch<W: WeightFn>(
-        &self,
-        ws: &[W],
-        t: &Rational,
-        arena: &mut EvalArena,
-    ) -> Vec<(bool, bool)> {
-        let ivs = self.eval_batch_interval_with(ws, arena);
-        let mut scratch = Vec::new();
-        ws.iter()
-            .zip(ivs)
-            .map(|(w, iv)| match iv.proves_le_rational(t) {
-                Certifies::Proven(b) => (b, false),
-                Certifies::Unknown => {
-                    INTERVAL_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-                    INTERVAL_FALLBACKS_THREAD.with(|c| c.set(c.get() + 1));
-                    self.resolve_weights(w, &mut scratch);
-                    arena.overlay.clear();
-                    let exact = self.eval_exact_at(self.root, &scratch, &mut arena.overlay);
-                    (&exact <= t, true)
-                }
-            })
-            .collect()
-    }
-
     /// Evaluates **every** gate exactly under each weighting of the batch
     /// in one topological walk — the batched [`FlatCircuit::evaluate_all`]
     /// behind the lifted inclusion–exclusion pool and the Type-II Möbius
@@ -751,58 +599,7 @@ impl FlatCircuit {
     /// Output order matches input order and every value is bit-identical
     /// to a serial per-weighting evaluation.
     pub fn evaluate_batch<W: WeightFn>(&self, weights: &[W]) -> Vec<Rational> {
-        let mut arena = EvalArena::with_capacity(self.gate_count());
-        self.eval_batch_exact_with(weights, &mut arena)
-    }
-
-    /// [`FlatCircuit::evaluate_batch`] fanned across `workers` logical
-    /// workers of a [`WorkerPool`]. Workers claim **lane chunks** (not
-    /// single weightings) from a shared cursor and price each chunk with
-    /// the batch kernel, each through a worker-local arena; exact rational
-    /// arithmetic makes the output identical to the serial batch for every
-    /// worker count.
-    pub fn evaluate_batch_on<W: WeightFn + Sync>(
-        &self,
-        pool: &WorkerPool,
-        weights: &[W],
-        workers: usize,
-    ) -> Vec<Rational> {
-        let workers = workers.max(1).min(weights.len().max(1));
-        if workers == 1 {
-            return self.evaluate_batch(weights);
-        }
-        // Chunks small enough that every worker gets some, large enough to
-        // amortize the per-chunk gate walk.
-        let chunk = self
-            .batch_chunk_lanes()
-            .min(weights.len().div_ceil(workers))
-            .max(1);
-        let nchunks = weights.len().div_ceil(chunk);
-        let cursor = AtomicUsize::new(0);
-        let mut out: Vec<Option<Rational>> = vec![None; weights.len()];
-        let slots = Mutex::new(&mut out);
-        pool.broadcast(workers, |_| {
-            let mut arena = EvalArena::with_capacity(self.gate_count());
-            let mut local: Vec<(usize, Vec<Rational>)> = Vec::new();
-            loop {
-                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                if c >= nchunks {
-                    break;
-                }
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(weights.len());
-                local.push((lo, self.eval_batch_exact_with(&weights[lo..hi], &mut arena)));
-            }
-            let mut slots = slots.lock().expect("batch output lock");
-            for (lo, values) in local {
-                for (i, value) in values.into_iter().enumerate() {
-                    slots[lo + i] = Some(value);
-                }
-            }
-        });
-        out.into_iter()
-            .map(|v| v.expect("every batch index evaluated"))
-            .collect()
+        self.eval_batch_exact_with(weights, &mut EvalArena::new())
     }
 
     /// Builds the parent index of the circuit: for every gate, the gates
@@ -865,6 +662,42 @@ impl ReverseTopology {
     }
 }
 
+/// Reusable evaluation buffers of the flat evaluator.
+///
+/// Bottom-up evaluation needs one slot per gate. Allocating those vectors
+/// anew for every weight assignment dominated the batched evaluation
+/// profile; an arena created once and threaded through
+/// [`FlatCircuit::eval_exact_with`] / [`FlatCircuit::eval_interval_with`]
+/// keeps the capacity across weightings. The slabs:
+///
+/// * `slots` — the weighting resolved once per *distinct variable*
+///   (weight, complement, and their machine-word forms), so the per-gate
+///   loop indexes a dense slice instead of re-querying the weight function
+///   at every leaf and decision; the batch kernel keeps every lane's slots
+///   here, lane after lane;
+/// * `cells` — one hybrid exact value per gate (machine words until an op
+///   overflows, exact bignum after);
+/// * `slot_intervals` / `intervals` — the interval lane's per-slot weights
+///   and one certified enclosure per gate (plain `Copy` doubles);
+/// * `lane_cells` — the batch kernel's gate-major `values[gate][lane]`
+///   matrix ([`FlatCircuit::eval_batch_exact_with`]), so one topological
+///   walk prices every weighting of the batch.
+#[derive(Clone, Debug, Default)]
+pub struct EvalArena {
+    slots: Vec<SlotW>,
+    cells: Vec<LaneVal>,
+    slot_intervals: Vec<Interval>,
+    intervals: Vec<Interval>,
+    lane_cells: Vec<LaneVal>,
+}
+
+impl EvalArena {
+    /// An empty arena; it grows to the circuit size on first use.
+    pub fn new() -> Self {
+        EvalArena::default()
+    }
+}
+
 impl Circuit {
     /// Flattens a self-contained circuit into its struct-of-arrays
     /// evaluation form. Gate ids and the gate count are preserved 1:1.
@@ -924,37 +757,22 @@ mod tests {
     }
 
     #[test]
-    fn per_gate_fallback_matches_forward_pass() {
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[3, 4]), cl(&[1, 4])]);
-        let flat = Circuit::compile(&f).flatten();
-        let w = UniformWeight(r(1, 3));
-        let mut arena = EvalArena::new();
-        let full = flat.eval_exact_with(&w, &mut arena);
-        flat.resolve_weights(&w, &mut arena.slot_weights);
-        let mut overlay = Vec::new();
-        let at = flat.eval_exact_at(flat.root(), &arena.slot_weights, &mut overlay);
-        assert_eq!(at, full);
-        // The overlay memoizes: re-asking is answered without re-pricing.
-        assert_eq!(
-            flat.eval_exact_at(flat.root(), &arena.slot_weights, &mut overlay),
-            full
-        );
-    }
-
-    #[test]
     fn le_exact_decides_correctly_with_and_without_fallback() {
         let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3])]);
         let flat = Circuit::compile(&f).flatten();
         let w = UniformWeight(r(1, 2));
         let exact = flat.eval_exact(&w); // 5/8
         let mut arena = EvalArena::new();
-        // Far threshold: interval decides, no fallback.
+        // Far threshold: interval decides, no fallback, counter untouched.
+        let before = interval_fallbacks_thread();
         let (ans, fell_back) = flat.le_exact(&w, &r(3, 4), &mut arena);
         assert!(ans && !fell_back);
+        assert_eq!(interval_fallbacks_thread(), before);
         // Threshold equal to the value: the outward nudges widen the
-        // enclosure past it, so this exercises the exact fallback.
-        let (ans, _) = flat.le_exact(&w, &exact, &mut arena);
-        assert!(ans);
+        // enclosure past it, so this exercises the exact fallback, which
+        // is counted exactly once.
+        assert_eq!(flat.le_exact(&w, &exact, &mut arena), (true, true));
+        assert_eq!(interval_fallbacks_thread(), before + 1);
         let (ans, _) = flat.le_exact(&w, &r(1, 2), &mut arena);
         assert!(!ans);
     }
@@ -987,38 +805,6 @@ mod tests {
             .map(|w| flat.eval_exact_with(w, &mut arena))
             .collect();
         assert_eq!(batch, serial);
-    }
-
-    #[test]
-    fn batch_intervals_enclose_exact_values() {
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[3, 4])]);
-        let flat = Circuit::compile(&f).flatten();
-        let weights: Vec<UniformWeight> = (0..=7).map(|k| UniformWeight(r(k, 7))).collect();
-        let mut arena = EvalArena::new();
-        let ivs = flat.eval_batch_interval_with(&weights, &mut arena);
-        let exact = flat.eval_batch_exact_with(&weights, &mut arena);
-        assert_eq!(ivs.len(), exact.len());
-        for (iv, x) in ivs.iter().zip(&exact) {
-            assert!(iv.contains(x), "{iv:?} misses {x}");
-        }
-    }
-
-    #[test]
-    fn le_exact_batch_matches_serial_le_exact() {
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3])]);
-        let flat = Circuit::compile(&f).flatten();
-        let weights: Vec<UniformWeight> = (0..=8).map(|k| UniformWeight(r(k, 8))).collect();
-        let mut arena = EvalArena::new();
-        // One threshold that intervals decide, one that forces fallback
-        // (the exact value at w = 1/2 is 5/8).
-        for t in [r(3, 4), r(5, 8)] {
-            let batch = flat.le_exact_batch(&weights, &t, &mut arena);
-            let serial: Vec<(bool, bool)> = weights
-                .iter()
-                .map(|w| flat.le_exact(w, &t, &mut arena))
-                .collect();
-            assert_eq!(batch, serial);
-        }
     }
 
     #[test]
@@ -1057,17 +843,5 @@ mod tests {
             pieces.extend(flat.eval_batch_exact_with(part, &mut arena));
         }
         assert_eq!(whole, pieces);
-    }
-
-    #[test]
-    fn flat_batch_matches_serial_and_parallel() {
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[3, 4]), cl(&[1, 4])]);
-        let flat = Circuit::compile(&f).flatten();
-        let weights: Vec<UniformWeight> = (0..=8).map(|k| UniformWeight(r(k, 8))).collect();
-        let serial = flat.evaluate_batch(&weights);
-        let pool = WorkerPool::new(2);
-        for workers in [1usize, 2, 3, 16] {
-            assert_eq!(serial, flat.evaluate_batch_on(&pool, &weights, workers));
-        }
     }
 }

@@ -33,11 +33,12 @@ pub mod intern;
 pub mod priced;
 pub mod wmc;
 
-pub use circuit::{Circuit, Compiler, EvalArena, Node, NodeId, Valuation};
+pub use circuit::{Circuit, Compiler, Node, NodeId, Valuation};
 pub use cnf::{Clause, Cnf, Var};
 pub use dnf::Dnf;
 pub use flat::{
-    interval_fallbacks_thread, interval_fallbacks_total, FlatCircuit, Op, ReverseTopology,
+    interval_fallbacks_thread, interval_fallbacks_total, EvalArena, FlatCircuit, Op,
+    ReverseTopology,
 };
 pub use intern::{CnfId, CnfInterner};
 pub use priced::{PricedCircuit, UpdateStats};

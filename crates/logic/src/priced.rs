@@ -16,9 +16,9 @@
 //!   [`PricedCircuit::update_weight`] re-prices only the dirty cone —
 //!   ascending gate order via a min-heap, so every gate is recomputed at
 //!   most once per update and only after all its changed children.
-//!   Values are **bit-identical** to a fresh full evaluation: each gate
-//!   is recomputed with the very kernels of the forward pass (same
-//!   hybrid lane ops, same zero short-circuit, same interval clamping),
+//!   Values are **bit-identical** to a fresh full evaluation by
+//!   construction: a re-priced gate goes through the very gate kernel the
+//!   forward pass runs (one call per lane over the persisted children),
 //!   and propagation stops only where *both* the exact lane and the
 //!   interval are unchanged. When the dirty frontier grows past half the
 //!   circuit the update abandons the heap and falls back to the plain
@@ -42,10 +42,8 @@
 //! ranking, and what-if bands on top.
 
 use crate::cnf::Var;
-use crate::flat::{
-    decision_lane, mul_lane, FlatCircuit, LaneVal, Op, ReverseTopology, SlotW, NO_SLOT,
-};
-use gfomc_arith::{Interval, Rat64, Rational};
+use crate::flat::{FlatCircuit, LaneVal, Op, ReverseTopology, SlotW, NO_SLOT};
+use gfomc_arith::{Interval, Rational};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -126,9 +124,9 @@ impl PricedCircuit {
             .collect();
         let slot_ivs: Vec<Interval> = weights.iter().map(Interval::from_probability).collect();
         let mut cells = Vec::new();
-        circuit.eval_cells_into(&slots, &mut cells);
+        circuit.forward(&slots, &mut cells);
         let mut ivs = Vec::new();
-        circuit.eval_interval_into(&slot_ivs, &mut ivs);
+        circuit.forward(&slot_ivs, &mut ivs);
         let rev = circuit.reverse_topology();
         let n = circuit.gate_count();
         let nslots = circuit.vars().len();
@@ -218,55 +216,23 @@ impl PricedCircuit {
         self.cells[gate as usize].to_rational()
     }
 
-    /// Re-prices one gate from its children's *persisted* values, with
-    /// the exact kernels of the forward passes (same hybrid ops, same
-    /// Product zero short-circuit on the exact lane, none on the
-    /// interval lane, same unit clamping) — the bit-identity of
-    /// incremental updates rests on this being the same arithmetic.
+    /// Re-prices one gate from its children's *persisted* values: one
+    /// call of the forward pass's gate kernel per lane, so a re-priced gate
+    /// is bit-identical (hybrid tags included) to the same gate of a fresh
+    /// forward pass over the same children.
     fn reprice_gate(&self, gi: usize) -> (LaneVal, Interval) {
         let c = &*self.circuit;
-        match c.ops[gi] {
-            Op::True => (LaneVal::S(Rat64::ONE), Interval::ONE),
-            Op::False => (LaneVal::S(Rat64::ZERO), Interval::ZERO),
-            Op::Leaf => {
-                let s = c.var_slot[gi] as usize;
-                (self.slots[s].leaf(), self.slot_ivs[s])
-            }
-            Op::Product => {
-                let mut acc = LaneVal::S(Rat64::ONE);
-                for &k in c.kids(gi) {
-                    acc = mul_lane(&acc, &self.cells[k as usize]);
-                    if acc.is_zero() {
-                        break;
-                    }
-                }
-                let mut iv = Interval::ONE;
-                for &k in c.kids(gi) {
-                    iv = iv.mul(&self.ivs[k as usize]).clamp_unit();
-                }
-                (acc, iv)
-            }
-            Op::Decision => {
-                let s = &self.slots[c.var_slot[gi] as usize];
-                let kids = c.kids(gi);
-                let (hi, lo) = (kids[0] as usize, kids[1] as usize);
-                let lane = decision_lane(s, &self.cells[hi], &self.cells[lo]);
-                let p = &self.slot_ivs[c.var_slot[gi] as usize];
-                let iv = p
-                    .mul(&self.ivs[hi])
-                    .add(&p.one_minus().mul(&self.ivs[lo]))
-                    .clamp_unit();
-                (lane, iv)
-            }
-        }
+        (
+            c.price(gi, &self.slots, |k| &self.cells[k as usize]),
+            c.price(gi, &self.slot_ivs, |k| &self.ivs[k as usize]),
+        )
     }
 
     /// Abandons incrementality: re-prices every gate with the plain full
     /// passes (used when the dirty frontier exceeds the threshold).
     fn reprice_full(&mut self) {
-        self.circuit.eval_cells_into(&self.slots, &mut self.cells);
-        self.circuit
-            .eval_interval_into(&self.slot_ivs, &mut self.ivs);
+        self.circuit.forward(&self.slots, &mut self.cells);
+        self.circuit.forward(&self.slot_ivs, &mut self.ivs);
     }
 
     /// Sets slot `slot`'s weight to `p` and re-prices the dirty cone.
