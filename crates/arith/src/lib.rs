@@ -280,6 +280,28 @@ mod proptests {
         }
     }
 
+    /// The small path against bignum on fixed operands at the `i64`
+    /// edges, every ordered pair: sums, differences and products whose
+    /// operands fit one limb while the exact result may not.
+    #[test]
+    fn small_path_matches_bignum_on_fixed_edge_operands() {
+        let ops = [
+            (1i64, 3i64),
+            (-7, 8),
+            (i64::MAX / 2, i64::MAX / 2 + 1),
+            (-(i64::MAX / 3), 7),
+            (1, i64::MAX),
+        ];
+        for &(n1, d1) in &ops {
+            for &(n2, d2) in &ops {
+                let (a, b) = (Rational::from_ints(n1, d1), Rational::from_ints(n2, d2));
+                assert_eq!(&a + &b, a.add_big(&b), "{a} + {b}");
+                assert_eq!(&a - &b, a.add_big(&-&b), "{a} - {b}");
+                assert_eq!(&a * &b, a.mul_big(&b), "{a} * {b}");
+            }
+        }
+    }
+
     /// Overflow-crossing regression: a computation that starts on the
     /// small path, spills to bignum mid-way (two-limb denominator), then
     /// reduces back into machine words — every leg must stay exact and

@@ -17,8 +17,8 @@
 //! operands.
 //!
 //! The module also keeps per-thread telemetry (`[small_path_thread_stats]`)
-//! counting fast-path hits vs bignum fallbacks, exported by the benchmark
-//! series as `rational_small_path_hit_rate`.
+//! counting fast-path hits vs bignum fallbacks, which the load benchmark
+//! (`benchmark/`) reports as `arith.small_path_hit_rate`.
 
 use crate::rational::Rational;
 use std::cell::Cell;

@@ -196,6 +196,9 @@ mod tests {
             let counts = ccp_counts(&inst, m, n);
             assert_eq!(pp2cnf_from_ccp(&counts), phi.count_models(), "CCP({m},{n})");
         }
+        let path = Pp2Cnf::new(2, 2, vec![(0, 0), (0, 1), (1, 1)]);
+        let counts = ccp_counts(&CcpInstance::from_pp2cnf(&path), 3, 3);
+        assert_eq!(pp2cnf_from_ccp(&counts), path.count_models());
     }
 
     #[test]

@@ -94,15 +94,17 @@ mod tests {
     #[test]
     fn multivariate_product_form() {
         // f = ∏_i x_i(1-x_i) — the shape of Corollary 3.18's f_A.
-        let mut f = Poly::one();
-        for i in 0..4 {
-            f = &f * &(&x(i) * &(&Poly::one() - &x(i)));
+        for n in [2u32, 4, 8] {
+            let mut f = Poly::one();
+            for i in 0..n {
+                f = &f * &(&x(i) * &(&Poly::one() - &x(i)));
+            }
+            let (theta, value) = gfomc_nonroot(&f);
+            for i in 0..n {
+                assert_eq!(theta[&PVar(i)], r(1, 2), "n={n}");
+            }
+            assert_eq!(value, r(1, 4).pow(n as i32), "n={n}");
         }
-        let (theta, value) = gfomc_nonroot(&f);
-        for i in 0..4 {
-            assert_eq!(theta[&PVar(i)], r(1, 2));
-        }
-        assert_eq!(value, r(1, 256));
     }
 
     #[test]

@@ -391,7 +391,7 @@ mod tests {
     #[test]
     fn lemma_a1_h1_small_domains() {
         let zq = zg_query(&catalog::h1());
-        for seed in 0..4u64 {
+        for seed in [0u64, 1, 2, 3, 42] {
             let delta = pseudo_random_delta(&zq, 2, 2, seed);
             let lhs = probability(&zq.query, &delta);
             let zdb = zg_database(&zq, &delta);

@@ -618,7 +618,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{random_block_tid, random_query, SafetyTarget};
+    use crate::workload::{random_block_tid, random_query, unsafe_block_preset, SafetyTarget};
     use gfomc_query::catalog;
     use gfomc_tid::probability;
     use rand::{rngs::StdRng, SeedableRng};
@@ -746,35 +746,40 @@ mod tests {
     fn threshold_budget_certifies_on_the_compiled_route() {
         // Unsafe preset: the threshold query must take the compiled route
         // and answer on the interval-certify lane, with verdicts
-        // byte-identical to comparing the exact probability.
+        // byte-identical to comparing the exact probability: an h1 block
+        // on a k/8 sweep, and the seeded 3×3 unsafe-block preset on k/16.
         let q = catalog::h1();
         let mut rng = StdRng::seed_from_u64(7);
         let tid = random_block_tid(&mut rng, &q, 2, 2);
-        let exact = probability(&q, &tid);
-        let engine = Engine::new();
-        let sweep: Vec<Rational> = (0..=8).map(|k| Rational::from_ints(k, 8)).collect();
-        for t in &sweep {
-            let budget = Budget::default().with_threshold(t.clone()).unwrap();
-            let routed = engine.evaluate_auto(&q, &tid, &budget);
-            assert_eq!(routed.route, Route::Compiled);
-            assert!(routed.result.is_exact());
-            let AutoResult::Certified { le, threshold } = &routed.result else {
-                panic!("expected a certified verdict, got {routed:?}");
-            };
-            assert_eq!(threshold, t);
-            assert_eq!(*le, &exact <= t, "verdict at t = {t} vs exact {exact}");
-        }
-        // A threshold equal to the exact value forces the interval lane to
-        // fall back — the verdict must still be the exact comparison.
-        let budget = Budget::default().with_threshold(exact.clone()).unwrap();
-        let routed = engine.evaluate_auto(&q, &tid, &budget);
-        assert_eq!(
-            routed.result,
-            AutoResult::Certified {
-                le: true,
-                threshold: exact
+        let (preset_q, preset_tid) =
+            unsafe_block_preset(&mut StdRng::seed_from_u64(0xA55E55), 2, 3);
+        for (q, tid, denom) in [(q, tid, 8), (preset_q, preset_tid, 16)] {
+            let exact = probability(&q, &tid);
+            let engine = Engine::new();
+            for k in 0..=denom {
+                let t = Rational::from_ints(k, denom);
+                let budget = Budget::default().with_threshold(t.clone()).unwrap();
+                let routed = engine.evaluate_auto(&q, &tid, &budget);
+                assert_eq!(routed.route, Route::Compiled);
+                assert!(routed.result.is_exact());
+                let AutoResult::Certified { le, threshold } = &routed.result else {
+                    panic!("expected a certified verdict, got {routed:?}");
+                };
+                assert_eq!(threshold, &t);
+                assert_eq!(*le, exact <= t, "verdict at t = {t} vs exact {exact}");
             }
-        );
+            // A threshold equal to the exact value forces the interval lane
+            // to fall back — the verdict must still be the exact comparison.
+            let budget = Budget::default().with_threshold(exact.clone()).unwrap();
+            let routed = engine.evaluate_auto(&q, &tid, &budget);
+            assert_eq!(
+                routed.result,
+                AutoResult::Certified {
+                    le: true,
+                    threshold: exact
+                }
+            );
+        }
     }
 
     #[test]

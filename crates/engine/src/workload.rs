@@ -1,8 +1,9 @@
 //! Workload generation: random block TIDs and random bipartite queries at
-//! controlled safety, shared by the test suites and the bench harness.
+//! controlled safety, shared by the test suites and the load benchmark
+//! (`benchmark/`).
 //!
 //! Everything here is seeded ([`rand::rngs::StdRng`] from the vendored,
-//! deterministic `rand` stand-in), so test and bench workloads are
+//! deterministic `rand` stand-in), so test and benchmark workloads are
 //! reproducible across runs and platforms.
 
 use crate::TupleWeights;

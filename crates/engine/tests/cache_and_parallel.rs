@@ -12,6 +12,8 @@
 //!   compiled answer matches the naive oracle exactly;
 //! * **adaptive routing** — the router's default adaptive mode never draws
 //!   more samples than the fixed mode's budget;
+//! * **sampler determinism** — on the block presets' lineages the thread
+//!   count never moves a seeded estimate or hit count;
 //! * **estimator soundness and stability** — the refined bound never
 //!   undershoots the compiled gate count on random unsafe lineages, and
 //!   reports exactly the figures recorded for the block presets;
@@ -144,25 +146,61 @@ fn cache_eviction_respects_capacity() {
 /// reasonable budget and the router degraded it to a sampled estimate.
 /// The refined bound sees through the block structure (≈ 10³ gates), the
 /// instance re-routes to the exact compiled path, and the answer matches
-/// the naive oracle bit-for-bit.
+/// the naive oracle bit-for-bit. The seeded 5×5 preset re-routes too.
 #[test]
 fn tightened_bound_reroutes_unsafe_block_to_compiled() {
-    let mut rng = StdRng::seed_from_u64(0xA55E55);
-    let (q, tid) = unsafe_block_preset(&mut rng, 2, 3);
-    let lin = lineage(&q, &tid);
-    let est = circuit_cost_estimate(&lin.cnf);
-    let budget = Budget::default();
+    for scale in [3, 5] {
+        let mut rng = StdRng::seed_from_u64(0xA55E55);
+        let (q, tid) = unsafe_block_preset(&mut rng, 2, scale);
+        let lin = lineage(&q, &tid);
+        let est = circuit_cost_estimate(&lin.cnf);
+        let budget = Budget::default();
+        assert!(
+            est.worst_case_nodes > budget.max_circuit_cost,
+            "{scale}×{scale}: old bound must overflow the budget: {est:?}"
+        );
+        assert!(
+            est.estimated_nodes <= budget.max_circuit_cost,
+            "{scale}×{scale}: refined bound must fit the budget: {est:?}"
+        );
+        let routed = Engine::new().evaluate_auto(&q, &tid, &budget);
+        assert_eq!(routed.route, Route::Compiled, "{scale}×{scale}: re-routed");
+        assert_eq!(routed.result, AutoResult::Exact(probability(&q, &tid)));
+    }
+}
+
+/// The sampler contracts on the seeded block presets' lineages, larger
+/// than any random CNF of the approx suites: the thread count never moves
+/// a seeded estimate or a hit count on the 6×6 preset, and the adaptive
+/// stopper draws no more than the fixed KLM budget on the 5×5 preset.
+#[test]
+fn preset_samplers_are_thread_invariant_and_adaptive_stays_in_budget() {
+    let preset = |scale| unsafe_block_preset(&mut StdRng::seed_from_u64(0xA55E55), 2, scale);
+    let (q, tid) = preset(6);
+    let sampler = gfomc_approx::lineage_sampler(&q, &tid);
+    let estimate = sampler.estimate_seeded(7, 20_000, 0.05, 1);
+    let hits = sampler.karp_luby().hits_in_range(7, 0, 50_000, 1);
+    for threads in [2, 4] {
+        assert_eq!(
+            estimate,
+            sampler.estimate_seeded(7, 20_000, 0.05, threads),
+            "estimate moved at {threads} threads"
+        );
+        assert_eq!(
+            hits,
+            sampler.karp_luby().hits_in_range(7, 0, 50_000, threads),
+            "hit count moved at {threads} threads"
+        );
+    }
+    let (q, tid) = preset(5);
+    let sampler = gfomc_approx::lineage_sampler(&q, &tid);
+    let fixed = sampler.fpras_samples(0.05, 0.05);
+    let adaptive = sampler.estimate_adaptive(&gfomc_approx::AdaptiveConfig::new(0.05, 0.05, 7));
     assert!(
-        est.worst_case_nodes > budget.max_circuit_cost,
-        "old bound must overflow the budget: {est:?}"
+        adaptive.estimate.samples <= fixed,
+        "adaptive {} > fixed {fixed}",
+        adaptive.estimate.samples
     );
-    assert!(
-        est.estimated_nodes <= budget.max_circuit_cost,
-        "refined bound must fit the budget: {est:?}"
-    );
-    let routed = Engine::new().evaluate_auto(&q, &tid, &budget);
-    assert_eq!(routed.route, Route::Compiled, "re-routed by the new bound");
-    assert_eq!(routed.result, AutoResult::Exact(probability(&q, &tid)));
 }
 
 /// Soundness of the refined bound: it must never under-estimate the

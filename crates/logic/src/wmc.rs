@@ -58,7 +58,7 @@ impl<F: Fn(Var) -> Rational> WeightFn for WeightsFromFn<F> {
 }
 
 /// Ablation switches for the WMC engine. The defaults enable both
-/// optimizations; the `bench_wmc` ablation series measures their impact.
+/// optimizations; turning one off changes the cost, never the answer.
 #[derive(Clone, Copy, Debug)]
 pub struct WmcConfig {
     /// Split variable-disjoint components and multiply their probabilities

@@ -395,9 +395,11 @@ mod tests {
         // The whole point: 30×30 is far beyond brute force but instant for
         // the lifted plan.
         let q = catalog::safe_three_components();
-        let tid = uniform_tid(&q, 30, 30);
-        let p = lifted_probability(&q, &tid).unwrap();
-        assert!(p.is_probability());
-        assert!(!p.is_zero());
+        for n in [4, 8, 16, 30, 32] {
+            let tid = uniform_tid(&q, n, n);
+            let p = lifted_probability(&q, &tid).unwrap();
+            assert!(p.is_probability(), "{n}×{n}");
+            assert!(!p.is_zero(), "{n}×{n}");
+        }
     }
 }

@@ -66,7 +66,7 @@ fn main() {
     assert!(absent <= present, "H1 is monotone in R(0)");
 
     // ------------------------------------------------------------------
-    // 5. The workload generator also controls query safety — the bench
+    // 5. The workload generator also controls query safety — the test
     //    suites draw from both sides of the dichotomy.
     // ------------------------------------------------------------------
     let safe = random_query(&mut rng, 3, 3, SafetyTarget::Safe);

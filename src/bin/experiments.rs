@@ -1,7 +1,8 @@
-//! Runs the complete experiment suite E1–E17 of EXPERIMENTS.md and prints a
-//! paper-vs-measured report. Every line is an exact check (rational
-//! arithmetic), so "PASS" means machine-verified equality, not approximate
-//! agreement.
+//! Runs the complete experiment suite E1–E17 and prints it as a
+//! paper-vs-measured table, one row per experiment naming its paper anchor
+//! (README "Theorem ↔ module correspondence" maps each anchor to its
+//! module). Every line is an exact check (rational arithmetic), so "PASS"
+//! means machine-verified equality, not approximate agreement.
 //!
 //! Run with `cargo run --release --bin experiments`.
 

@@ -27,9 +27,16 @@ fn random_p2cnf(n: usize, max_m: usize, rng: &mut StdRng) -> P2Cnf {
 
 #[test]
 fn reduction_on_random_formulas_h1() {
+    // An edge, a path, a triangle and a 4-cycle, then random formulas.
+    let fixed = [
+        P2Cnf::new(2, vec![(0, 1)]),
+        P2Cnf::new(3, vec![(0, 1), (1, 2)]),
+        P2Cnf::new(3, vec![(0, 1), (1, 2), (0, 2)]),
+        P2Cnf::new(4, vec![(0, 1), (1, 2), (2, 3), (3, 0)]),
+    ];
     let mut rng = StdRng::seed_from_u64(0x2C4F);
-    for trial in 0..6 {
-        let phi = random_p2cnf(4, 4, &mut rng);
+    let random: Vec<P2Cnf> = (0..6).map(|_| random_p2cnf(4, 4, &mut rng)).collect();
+    for (trial, phi) in fixed.into_iter().chain(random).enumerate() {
         let out = reduce_p2cnf(&catalog::h1(), &phi, OracleMode::Factorized);
         assert_eq!(
             out.model_count,
@@ -73,11 +80,16 @@ fn reduction_composes_with_zigzag() {
 fn factorized_and_full_oracles_agree() {
     // Theorem 3.4 (E15), exercised through the public API on a full
     // reduction run rather than a single database.
-    let phi = P2Cnf::new(3, vec![(0, 1), (1, 2)]);
-    let a = reduce_p2cnf(&catalog::h1(), &phi, OracleMode::FullWmc);
-    let b = reduce_p2cnf(&catalog::h1(), &phi, OracleMode::Factorized);
-    assert_eq!(a.model_count, b.model_count);
-    assert_eq!(a.signature_counts, b.signature_counts);
+    for phi in [
+        P2Cnf::new(2, vec![(0, 1)]),
+        P2Cnf::new(3, vec![(0, 1), (1, 2)]),
+    ] {
+        let a = reduce_p2cnf(&catalog::h1(), &phi, OracleMode::FullWmc);
+        let b = reduce_p2cnf(&catalog::h1(), &phi, OracleMode::Factorized);
+        assert_eq!(a.model_count, phi.count_models(), "{phi:?}");
+        assert_eq!(a.model_count, b.model_count);
+        assert_eq!(a.signature_counts, b.signature_counts);
+    }
 }
 
 #[test]

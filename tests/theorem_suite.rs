@@ -1,6 +1,7 @@
 //! One integration test per constructive theorem/lemma of §3, run across
-//! the final Type-I catalog — the experiment suite of EXPERIMENTS.md in
-//! test form (E2–E6, E8, E9).
+//! the final Type-I catalog — experiments E2–E6, E8 and E9 of the E1–E17
+//! table printed by the `experiments` bin, in test form. README "Theorem ↔
+//! module correspondence" maps each result to its module.
 
 use gfomc::core::small_matrix::{
     block_small_matrix, corollary_3_18_constant, lemma_1_2_agrees, theorem_3_16_at_half,
