@@ -21,7 +21,6 @@
 //! use gfomc_arith::Rational;
 //! use gfomc_query::catalog;
 //! use gfomc_tid::{probability, Tid, Tuple};
-//! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! // H1 is unsafe — exact evaluation is #P-hard in general…
 //! let q = catalog::h1();
@@ -32,10 +31,10 @@
 //! }
 //! tid.set_prob(Tuple::T(10), Rational::one_half());
 //!
-//! // …but the sampler brackets Pr(Q) with a 95% confidence interval.
+//! // …but the sampler brackets Pr(Q) with a 95% confidence interval:
+//! // 2 000 draws of the chunk-seeded plan for seed 42, on one thread.
 //! let sampler = lineage_sampler(&q, &tid);
-//! let mut rng = StdRng::seed_from_u64(42);
-//! let est = sampler.estimate(&mut rng, 2_000, 0.05);
+//! let est = sampler.estimate_seeded(42, 2_000, 0.05, 1);
 //! assert!(est.ci.contains(&probability(&q, &tid)));
 //! ```
 //!
@@ -46,16 +45,17 @@
 //! empirical CI coverage against [`gfomc_logic::wmc_brute_force`] ground
 //! truth at fixed seeds.
 //!
-//! Two performance layers sit on top of the plain estimator, neither
-//! giving up determinism:
+//! Every draw follows one **chunk-seeded sampling plan**, and neither entry
+//! point gives up determinism:
 //!
-//! * [`CnfSampler::estimate_seeded`] executes a **chunk-seeded sampling
-//!   plan** across OS threads — the estimate is a pure function of
-//!   `(seed, samples)`, bit-identical for every thread count;
+//! * [`CnfSampler::estimate_seeded`] draws a fixed budget across worker
+//!   threads — the estimate is a pure function of `(seed, samples)`,
+//!   bit-identical for every thread count;
 //! * [`CnfSampler::estimate_adaptive`] replaces the fixed worst-case
-//!   budget with **empirical-Bernstein stopping rounds** ([`adaptive`](crate::AdaptiveConfig)):
-//!   it never draws more than the fixed Karp–Luby–Madras budget and exits
-//!   as soon as the outward-rounded interval meets the accuracy target.
+//!   budget with **empirical-Bernstein stopping rounds** ([`adaptive`](crate::AdaptiveConfig))
+//!   over the same plan: it never draws more than the fixed
+//!   Karp–Luby–Madras budget and exits as soon as the outward-rounded
+//!   interval meets the accuracy target.
 
 mod adaptive;
 mod estimate;
@@ -68,7 +68,6 @@ pub use sampler::{samples_drawn_total, CnfSampler, KarpLuby, SAMPLE_CHUNK};
 use gfomc_logic::Dnf;
 use gfomc_query::BipartiteQuery;
 use gfomc_tid::{lineage, Tid, VarTable};
-use rand::{rngs::StdRng, SeedableRng};
 
 /// The monotone complement-DNF of the lineage `Φ_∆(Q)` together with the
 /// tuple ↔ variable table: one term per falsifiable ground clause, read
@@ -83,19 +82,6 @@ pub fn lineage_dnf(q: &BipartiteQuery, tid: &Tid) -> (Dnf, VarTable) {
 pub fn lineage_sampler(q: &BipartiteQuery, tid: &Tid) -> CnfSampler {
     let lin = lineage(q, tid);
     CnfSampler::new(&lin.cnf, lin.vars.weights())
-}
-
-/// One-shot convenience: estimate `Pr_∆(Q)` from `samples` draws of a
-/// sampler seeded with `seed`, at confidence `1 − δ`.
-pub fn sample_probability(
-    q: &BipartiteQuery,
-    tid: &Tid,
-    seed: u64,
-    samples: u64,
-    delta: f64,
-) -> Estimate {
-    let mut rng = StdRng::seed_from_u64(seed);
-    lineage_sampler(q, tid).estimate(&mut rng, samples, delta)
 }
 
 #[cfg(test)]
@@ -128,21 +114,21 @@ mod tests {
     }
 
     #[test]
-    fn sample_probability_brackets_exact_h1() {
+    fn lineage_sampler_brackets_exact_h1() {
         let q = catalog::h1();
         let tid = small_tid(&q);
         let exact = probability(&q, &tid);
-        let est = sample_probability(&q, &tid, 0xA99C, 2_000, 0.05);
+        let est = lineage_sampler(&q, &tid).estimate_seeded(0xA99C, 2_000, 0.05, 1);
         assert!(est.ci.contains(&exact), "{est:?} vs {exact}");
         assert_eq!(est.samples, 2_000);
     }
 
     #[test]
-    fn sample_probability_is_seed_deterministic() {
+    fn lineage_sampler_is_seed_deterministic() {
         let q = catalog::hk(2);
         let tid = small_tid(&q);
-        let a = sample_probability(&q, &tid, 7, 300, 0.05);
-        let b = sample_probability(&q, &tid, 7, 300, 0.05);
+        let a = lineage_sampler(&q, &tid).estimate_seeded(7, 300, 0.05, 1);
+        let b = lineage_sampler(&q, &tid).estimate_seeded(7, 300, 0.05, 1);
         assert_eq!(a, b);
     }
 }

@@ -87,10 +87,9 @@ fn chunk_seed(seed: u64, chunk: u64) -> u64 {
 /// independent variable probabilities.
 ///
 /// Construction precomputes the term weights and their cumulative sums;
-/// each [`KarpLuby::estimate`] call is then `O(samples · (vars + scan))`
-/// with no allocation beyond one world bitset, reused across every draw
-/// of the call (and, in the chunked plan, across every chunk a worker
-/// executes).
+/// each [`KarpLuby::estimate_seeded`] call is then
+/// `O(samples · (vars + scan))` with no allocation beyond one world bitset
+/// per worker, reused across every chunk that worker executes.
 ///
 /// Worlds are word-packed: a sampled world is a `[u64]` bitset, one bit
 /// per variable position, and the canonical-term scan runs in whole-word
@@ -219,8 +218,8 @@ impl KarpLuby {
         &self.total
     }
 
-    /// True iff the formula was degenerate and [`KarpLuby::estimate`] will
-    /// return an exact value without sampling.
+    /// True iff the formula was degenerate and [`KarpLuby::estimate_seeded`]
+    /// will return an exact value without sampling.
     pub fn is_exact(&self) -> bool {
         self.exact.is_some()
     }
@@ -236,32 +235,13 @@ impl KarpLuby {
         (3.0 * m * (2.0 / delta).ln() / (epsilon * epsilon)).ceil() as u64
     }
 
-    /// Draws `samples` Karp–Luby samples and returns the estimate of
-    /// `Pr(D)` with a two-sided Hoeffding interval at confidence `1 − δ`.
+    /// The estimate assembled from a merged hit count: `Ŝ·hits/N` in exact
+    /// arithmetic (the seeded-deterministic point) with a two-sided
+    /// Hoeffding interval at confidence `1 − δ`.
     ///
     /// The interval is conservative (distribution-free): the indicator mean
     /// `μ` satisfies `|hits/N − μ| ≤ √(ln(2/δ)/2N)` with probability at
     /// least `1 − δ`, and the bound is scaled by `S` and rounded outward.
-    pub fn estimate<R: Rng>(&self, rng: &mut R, samples: u64, delta: f64) -> Estimate {
-        validate_unit_open("delta", delta);
-        if let Some(value) = &self.exact {
-            return Estimate::exact(value.clone(), delta);
-        }
-        assert!(samples > 0, "need at least one sample");
-        assert!(samples <= i64::MAX as u64, "sample budget out of range");
-        let mut hits: u64 = 0;
-        let mut world = vec![0u64; world_words(self.thresholds.len())];
-        for _ in 0..samples {
-            if self.draw_hit(rng, &mut world) {
-                hits += 1;
-            }
-        }
-        self.estimate_from_hits(hits, samples, delta)
-    }
-
-    /// The estimate assembled from a merged hit count: `Ŝ·hits/N` in exact
-    /// arithmetic (the seeded-deterministic point) with a two-sided
-    /// Hoeffding interval at confidence `1 − δ`.
     ///
     /// The raw unbiased estimator can overshoot 1 when the union bound is
     /// loose and samples are few; since the target is a probability, the
@@ -403,16 +383,14 @@ impl KarpLuby {
         hits.load(Ordering::Relaxed)
     }
 
-    /// The parallel, seed-addressed form of [`KarpLuby::estimate`]: draws
-    /// `samples` samples of the chunked plan for `seed` across up to
-    /// `threads` workers of the process-wide shared [`WorkerPool`]
-    /// (1 = serial).
+    /// Draws `samples` Karp–Luby samples of the chunked plan for `seed`
+    /// across up to `threads` workers of the process-wide shared
+    /// [`WorkerPool`] (1 = serial), and returns the estimate of `Pr(D)`
+    /// with a two-sided Hoeffding interval at confidence `1 − δ`.
     ///
     /// Determinism guarantee: for a fixed `(seed, samples, delta)` the
     /// returned [`Estimate`] is bit-identical for **every** thread count —
-    /// see [`SAMPLE_CHUNK`]. The draw sequence differs from the
-    /// single-stream [`KarpLuby::estimate`], so the two entry points give
-    /// different (equally valid) estimates for the same seed.
+    /// see [`SAMPLE_CHUNK`].
     pub fn estimate_seeded(&self, seed: u64, samples: u64, delta: f64, threads: usize) -> Estimate {
         self.estimate_seeded_on(WorkerPool::global(), seed, samples, delta, threads)
     }
@@ -435,12 +413,6 @@ impl KarpLuby {
         assert!(samples <= i64::MAX as u64, "sample budget out of range");
         let hits = self.hits_in_range_on(pool, seed, 0, samples, workers);
         self.estimate_from_hits(hits, samples, delta)
-    }
-
-    /// The (ε, δ)-FPRAS entry point: draws [`KarpLuby::fpras_samples`]
-    /// samples in one go.
-    pub fn estimate_fpras<R: Rng>(&self, rng: &mut R, epsilon: f64, delta: f64) -> Estimate {
-        self.estimate(rng, self.fpras_samples(epsilon, delta), delta)
     }
 
     /// Importance-samples a term index proportionally to its weight: a
@@ -593,13 +565,8 @@ impl CnfSampler {
         self.kl.fpras_samples(epsilon, delta)
     }
 
-    /// Estimates `Pr(f)` from `samples` draws, with a two-sided Hoeffding
-    /// interval at confidence `1 − δ`.
-    pub fn estimate<R: Rng>(&self, rng: &mut R, samples: u64, delta: f64) -> Estimate {
-        self.kl.estimate(rng, samples, delta).complement()
-    }
-
-    /// The parallel, seed-addressed form of [`CnfSampler::estimate`]:
+    /// Estimates `Pr(f)` from `samples` draws of the chunked plan for
+    /// `seed`, with a two-sided Hoeffding interval at confidence `1 − δ`:
     /// bit-identical for every thread count at a fixed
     /// `(seed, samples, delta)` — see [`KarpLuby::estimate_seeded`].
     pub fn estimate_seeded(&self, seed: u64, samples: u64, delta: f64, threads: usize) -> Estimate {
@@ -627,18 +594,12 @@ impl CnfSampler {
     pub fn karp_luby(&self) -> &KarpLuby {
         &self.kl
     }
-
-    /// The (ε, δ)-FPRAS entry point (relative error on `Pr(¬f)`).
-    pub fn estimate_fpras<R: Rng>(&self, rng: &mut R, epsilon: f64, delta: f64) -> Estimate {
-        self.kl.estimate_fpras(rng, epsilon, delta).complement()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gfomc_logic::{wmc_brute_force, Clause, UniformWeight};
-    use rand::{rngs::StdRng, SeedableRng};
     use std::collections::HashMap;
 
     fn cl(vs: &[u32]) -> Clause {
@@ -651,19 +612,24 @@ mod tests {
 
     #[test]
     fn degenerate_formulas_are_exact() {
-        let mut rng = StdRng::seed_from_u64(1);
         let kl = KarpLuby::new(&Dnf::top(), &half());
         assert!(kl.is_exact());
-        let e = kl.estimate(&mut rng, 100, 0.05);
+        let e = kl.estimate_seeded(1, 100, 0.05, 1);
         assert!(e.exact);
         assert_eq!(e.estimate, Rational::one());
         let kl = KarpLuby::new(&Dnf::bottom(), &half());
-        assert_eq!(kl.estimate(&mut rng, 100, 0.05).estimate, Rational::zero());
+        assert_eq!(
+            kl.estimate_seeded(1, 100, 0.05, 1).estimate,
+            Rational::zero()
+        );
 
         let s = CnfSampler::new(&Cnf::top(), &half());
-        assert_eq!(s.estimate(&mut rng, 100, 0.05).estimate, Rational::one());
+        assert_eq!(s.estimate_seeded(1, 100, 0.05, 1).estimate, Rational::one());
         let s = CnfSampler::new(&Cnf::bottom(), &half());
-        assert_eq!(s.estimate(&mut rng, 100, 0.05).estimate, Rational::zero());
+        assert_eq!(
+            s.estimate_seeded(1, 100, 0.05, 1).estimate,
+            Rational::zero()
+        );
     }
 
     #[test]
@@ -679,8 +645,7 @@ mod tests {
         assert_eq!(kl.union_bound(), &Rational::from_ints(1, 4));
         // With a single live term the canonical indicator always fires:
         // the estimate is exactly the union bound, from any seed.
-        let mut rng = StdRng::seed_from_u64(7);
-        let e = kl.estimate(&mut rng, 64, 0.05);
+        let e = kl.estimate_seeded(7, 64, 0.05, 1);
         assert_eq!(e.hits, 64);
         assert_eq!(e.estimate, Rational::from_ints(1, 4));
     }
@@ -692,8 +657,10 @@ mod tests {
         w.insert(Var(1), Rational::zero());
         let kl = KarpLuby::new(&d, &w);
         assert!(kl.is_exact());
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(kl.estimate(&mut rng, 10, 0.05).estimate, Rational::zero());
+        assert_eq!(
+            kl.estimate_seeded(3, 10, 0.05, 1).estimate,
+            Rational::zero()
+        );
     }
 
     #[test]
@@ -701,8 +668,7 @@ mod tests {
         // Pr(x1∧x2) at ½: indicator is constantly 1, estimate = S = ¼.
         let d = Dnf::new([cl(&[1, 2])]);
         let kl = KarpLuby::new(&d, &half());
-        let mut rng = StdRng::seed_from_u64(11);
-        let e = kl.estimate(&mut rng, 32, 0.05);
+        let e = kl.estimate_seeded(11, 32, 0.05, 1);
         assert_eq!(e.estimate, Rational::from_ints(1, 4));
         assert!(e.ci.contains(&Rational::from_ints(1, 4)));
     }
@@ -711,10 +677,7 @@ mod tests {
     fn same_seed_same_estimate() {
         let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[1, 3])]);
         let s = CnfSampler::new(&f, &half());
-        let run = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            s.estimate(&mut rng, 500, 0.05)
-        };
+        let run = |seed: u64| s.estimate_seeded(seed, 500, 0.05, 1);
         assert_eq!(run(99), run(99));
         // …and a different seed (almost surely) moves the hit count.
         assert_ne!(run(99).hits, run(100).hits);
@@ -731,8 +694,7 @@ mod tests {
         for (i, f) in formulas.iter().enumerate() {
             let truth = wmc_brute_force(f, &half());
             let s = CnfSampler::new(f, &half());
-            let mut rng = StdRng::seed_from_u64(0xC0FFEE + i as u64);
-            let e = s.estimate(&mut rng, 2_000, 0.05);
+            let e = s.estimate_seeded(0xC0FFEE + i as u64, 2_000, 0.05, 1);
             assert!(e.ci.contains(&truth), "{f:?}: {e:?} vs {truth}");
             assert!(!e.exact);
             assert_eq!(e.samples, 2_000);
@@ -750,8 +712,7 @@ mod tests {
         w.insert(Var(3), Rational::from_ints(2, 7));
         let s = CnfSampler::new(&f, &w);
         assert_eq!(s.term_count(), 1);
-        let mut rng = StdRng::seed_from_u64(5);
-        let e = s.estimate(&mut rng, 64, 0.05);
+        let e = s.estimate_seeded(5, 64, 0.05, 1);
         assert_eq!(e.estimate, Rational::from_ints(2, 7));
     }
 

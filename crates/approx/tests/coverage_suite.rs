@@ -11,6 +11,9 @@
 //!   pins exactly the advertised bar;
 //! * *reproducibility*: a fixed seed yields a bit-identical [`Estimate`],
 //!   and the estimate is exact-rational-arithmetic all the way through.
+//!
+//! Every estimate is drawn through the chunk-seeded plan the engine's
+//! sampled route runs ([`CnfSampler::estimate_seeded`]).
 
 use gfomc_approx::{CnfSampler, Estimate};
 use gfomc_arith::Rational;
@@ -44,8 +47,7 @@ fn empirical_ci_coverage_is_at_least_95_percent() {
         let (cnf, weights) = random_instance(seed, 8, 6);
         let truth = wmc_brute_force(&cnf, &weights);
         let sampler = CnfSampler::new(&cnf, &weights);
-        let mut rng = StdRng::seed_from_u64(0xC0E0 + seed);
-        let est = sampler.estimate(&mut rng, SAMPLES, 0.05);
+        let est = sampler.estimate_seeded(0xC0E0 + seed, SAMPLES, 0.05, 1);
         if est.ci.contains(&truth) {
             covered += 1;
         }
@@ -61,10 +63,7 @@ fn estimates_are_bit_identical_per_seed() {
     for seed in 0..20u64 {
         let (cnf, weights) = random_instance(seed, 8, 6);
         let sampler = CnfSampler::new(&cnf, &weights);
-        let run = |rng_seed: u64| -> Estimate {
-            let mut rng = StdRng::seed_from_u64(rng_seed);
-            sampler.estimate(&mut rng, 400, 0.05)
-        };
+        let run = |rng_seed: u64| -> Estimate { sampler.estimate_seeded(rng_seed, 400, 0.05, 1) };
         assert_eq!(run(seed), run(seed), "instance {seed}");
     }
 }
@@ -75,8 +74,7 @@ fn exact_arithmetic_ties_estimate_to_hit_count() {
     // value path.
     let (cnf, weights) = random_instance(3, 8, 6);
     let sampler = CnfSampler::new(&cnf, &weights);
-    let mut rng = StdRng::seed_from_u64(17);
-    let est = sampler.estimate(&mut rng, 640, 0.05);
+    let est = sampler.estimate_seeded(17, 640, 0.05, 1);
     let lin_dnf = gfomc_logic::Dnf::complement_of(&cnf);
     let flipped = gfomc_logic::WeightsFromFn(|v: Var| weights[&v].complement());
     let s = lin_dnf.union_bound(&flipped);
@@ -98,8 +96,7 @@ proptest! {
         let (cnf, weights) = random_instance(seed, 8, 6);
         let truth = wmc_brute_force(&cnf, &weights);
         let sampler = CnfSampler::new(&cnf, &weights);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
-        let est = sampler.estimate(&mut rng, 1_000, 0.05);
+        let est = sampler.estimate_seeded(seed ^ 0xBEEF, 1_000, 0.05, 1);
         prop_assert!(est.ci.contains(&truth), "{:?} misses {}", est, truth);
         prop_assert!(est.ci.lo >= Rational::zero());
         prop_assert!(est.ci.hi <= Rational::one());
@@ -110,10 +107,8 @@ proptest! {
         let (cnf, weights) = random_instance(seed, 6, 4);
         let sampler = CnfSampler::new(&cnf, &weights);
         prop_assume!(!sampler.is_exact());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let coarse = sampler.estimate(&mut rng, 200, 0.05);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let fine = sampler.estimate(&mut rng, 3_200, 0.05);
+        let coarse = sampler.estimate_seeded(seed, 200, 0.05, 1);
+        let fine = sampler.estimate_seeded(seed, 3_200, 0.05, 1);
         // Hoeffding half-width scales as 1/√N (up to [0,1] clamping).
         prop_assert!(fine.ci.width() <= coarse.ci.width());
     }

@@ -7,8 +7,8 @@
 //! * [`Rational`] — rationals in lowest terms, the universal probability and
 //!   coefficient type of the workspace;
 //! * [`Rat64`] — machine-word rationals, the small-limb fast path behind
-//!   `Rational` add/mul/sub and the flat evaluator's batch lanes: ops run
-//!   in `i128`/`u128` registers and spill to bignum on overflow,
+//!   `Rational` add/mul/sub and the flat evaluator's hybrid exact lane:
+//!   ops run in `i128`/`u128` registers and spill to bignum on overflow,
 //!   bit-identically;
 //! * [`QuadExt`] — elements of a real quadratic field `Q(√d)`, used for the
 //!   exact eigenvalue computations of the paper's transfer matrices;

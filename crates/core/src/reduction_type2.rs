@@ -20,7 +20,7 @@
 //! choices of Theorem C.38.
 
 use gfomc_arith::Rational;
-use gfomc_logic::{Cnf, Compiler, NodeId, Valuation, Var, WeightsFromFn};
+use gfomc_logic::{Cnf, Compiler, EvalArena, NodeId, Valuation, Var, WeightsFromFn};
 use gfomc_query::{cnf_implies, BipartiteQuery, ClauseShape, MobiusLattice};
 use gfomc_tid::{probability, Tid, Tuple};
 use std::collections::HashMap;
@@ -148,18 +148,16 @@ pub fn mobius_formula_probability(
         })
         .collect();
     // All cells are compiled; flatten the frozen pool once, then price it
-    // under *every* (u, v) cell's probabilities in one batch-kernel pass —
-    // each Möbius cell is one lane of the gate walk.
+    // under *every* (u, v) cell's probabilities — one forward pass per
+    // Möbius cell, all over one arena.
     let flat = compiler.finish_flat();
-    let cells: Vec<(u32, u32)> = (0..nu).flat_map(|u| (0..nv).map(move |v| (u, v))).collect();
-    let lanes: Vec<_> = cells
-        .iter()
-        .map(|&(u, v)| WeightsFromFn(move |var: Var| prob(var.0, u, v)))
-        .collect();
-    let valuations: HashMap<(u32, u32), Valuation> = cells
-        .iter()
-        .copied()
-        .zip(flat.evaluate_all_batch(&lanes))
+    let mut arena = EvalArena::new();
+    let valuations: HashMap<(u32, u32), Valuation> = (0..nu)
+        .flat_map(|u| (0..nv).map(move |v| (u, v)))
+        .map(|(u, v)| {
+            let w = WeightsFromFn(|var: Var| prob(var.0, u, v));
+            ((u, v), flat.evaluate_all_with(&w, &mut arena))
+        })
         .collect();
     let y = |u: u32, v: u32, ai: usize, bi: usize| -> Rational {
         valuations[&(u, v)].value(roots[ai][bi]).clone()

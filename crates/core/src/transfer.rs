@@ -14,16 +14,15 @@
 use crate::block::{path_block, ConstAlloc};
 use gfomc_arith::Rational;
 use gfomc_linalg::Matrix;
-use gfomc_logic::{Circuit, Var, WeightsFromFn};
+use gfomc_logic::{Circuit, EvalArena, Var, WeightsFromFn};
 use gfomc_query::BipartiteQuery;
 use gfomc_tid::{lineage, Tuple};
 
 /// Computes `A(p)` for a Type-I query: the block lineage of `B_p(u,v)` is
-/// compiled **once**, then the four endpoint settings of Eq. (20) become
-/// four *lanes* of one batch-kernel pass over the flattened circuit —
-/// `z00, z01, z10, z11` priced in a single topological walk, with `R(u)`,
-/// `R(v)` forced to 0/1 per lane (the Shannon gates degenerate to the
-/// forced branch arithmetically).
+/// compiled **once**, then each of the four endpoint settings of Eq. (20)
+/// is one forward pass over the flattened circuit, with `R(u)`, `R(v)`
+/// forced to 0/1 (the Shannon gates degenerate to the forced branch
+/// arithmetically).
 pub fn transfer_matrix(q: &BipartiteQuery, p: usize) -> Matrix<Rational> {
     let mut alloc = ConstAlloc::new(2, 0);
     let tid = path_block(q, 0, 1, p, &mut alloc);
@@ -45,10 +44,12 @@ pub fn transfer_matrix(q: &BipartiteQuery, p: usize) -> Matrix<Rational> {
             Rational::zero()
         }
     };
-    // Lane order (a, b) = row-major: z00, z01, z10, z11.
-    let lanes: Vec<_> = [(false, false), (false, true), (true, false), (true, true)]
-        .map(|(a, b)| {
-            WeightsFromFn(move |v: Var| {
+    // Row-major z00, z01, z10, z11: one forward pass per endpoint setting
+    // (a, b), all over one arena.
+    let mut arena = EvalArena::new();
+    let [z00, z01, z10, z11] =
+        [(false, false), (false, true), (true, false), (true, true)].map(|(a, b)| {
+            let w = WeightsFromFn(|v: Var| {
                 if v == var_u {
                     endpoint(a)
                 } else if v == var_v {
@@ -56,17 +57,9 @@ pub fn transfer_matrix(q: &BipartiteQuery, p: usize) -> Matrix<Rational> {
                 } else {
                     weights[&v].clone()
                 }
-            })
-        })
-        .into_iter()
-        .collect();
-    let mut z = flat.evaluate_batch(&lanes).into_iter();
-    let (z00, z01, z10, z11) = (
-        z.next().unwrap(),
-        z.next().unwrap(),
-        z.next().unwrap(),
-        z.next().unwrap(),
-    );
+            });
+            flat.eval_exact_with(&w, &mut arena)
+        });
     Matrix::from_rows(vec![vec![z00, z01], vec![z10, z11]])
 }
 

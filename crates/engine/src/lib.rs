@@ -301,7 +301,7 @@ impl EngineBuilder {
     }
 
     /// A dedicated worker pool for the engine's parallel paths (sampling
-    /// rounds, batched evaluation, [`Engine::evaluate_auto_batch`]).
+    /// rounds and [`Engine::evaluate_auto_batch`]).
     /// Defaults to the process-shared [`WorkerPool::global`].
     pub fn pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool = Some(pool);
@@ -813,34 +813,13 @@ impl Compiled {
     /// fresh values vector per assignment. The override lookup runs once
     /// per distinct tuple (the flat slot table), not once per gate.
     pub fn evaluate_with(&self, weights: &TupleWeights, arena: &mut EvalArena) -> Rational {
-        self.circuit
-            .eval_exact_with(&self.weight_fn(weights), arena)
-    }
-
-    /// The batched form: one compiled circuit priced under every assignment
-    /// in `weights` through the many-weightings-per-gate batch kernel
-    /// ([`FlatCircuit::eval_batch_exact_with`]) — one topological walk per
-    /// lane chunk instead of one per weighting. Output order matches input
-    /// order and stays bit-identical to a serial [`Compiled::evaluate`]
-    /// loop.
-    pub fn evaluate_batch(&self, weights: &[TupleWeights]) -> Vec<Rational> {
-        let resolved: Vec<_> = weights.iter().map(|w| self.weight_fn(w)).collect();
-        self.circuit.evaluate_batch(&resolved)
-    }
-
-    /// The override-aware weight function of one assignment: each uncertain
-    /// tuple takes its override if present, its database probability
-    /// otherwise.
-    fn weight_fn<'a>(
-        &'a self,
-        weights: &'a TupleWeights,
-    ) -> WeightsFromFn<impl Fn(gfomc_logic::Var) -> Rational + 'a> {
-        WeightsFromFn(move |v| {
+        let w = WeightsFromFn(|v| {
             weights
                 .get(&self.vars.tuple_of(v))
                 .cloned()
                 .unwrap_or_else(|| self.vars.weights()[&v].clone())
-        })
+        });
+        self.circuit.eval_exact_with(&w, arena)
     }
 
     /// The uncertain tuples of the compiled lineage — the tuples whose
@@ -1002,21 +981,6 @@ mod tests {
             let mut tid2 = tid.clone();
             tid2.set_prob(Tuple::R(0), r0);
             assert_eq!(compiled.evaluate(&w), naive_probability(&q, &tid2));
-        }
-    }
-
-    #[test]
-    fn batch_matches_single_evaluations() {
-        let q = catalog::hk(2);
-        let tid = uniform_tid(&q, 2, 2);
-        let compiled = compile(&q, &tid);
-        let weights: Vec<TupleWeights> = (0..=4)
-            .map(|k| TupleWeights::new().with(Tuple::T(100), Rational::from_ints(k, 4)))
-            .collect();
-        let batch = compiled.evaluate_batch(&weights);
-        assert_eq!(batch.len(), weights.len());
-        for (w, got) in weights.iter().zip(&batch) {
-            assert_eq!(got, &compiled.evaluate(w));
         }
     }
 

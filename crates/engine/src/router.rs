@@ -73,6 +73,9 @@ pub enum BudgetError {
     Epsilon(f64),
     /// A fixed-mode sample budget of zero.
     ZeroSamples,
+    /// A fixed-mode sample budget above `i64::MAX`, the largest count an
+    /// exact `hits / samples` fraction can hold.
+    TooManySamples(u64),
     /// A certification threshold outside `[0, 1]` — thresholds compare
     /// against probabilities, so anything else is certifiable vacuously
     /// and almost certainly a client bug.
@@ -89,6 +92,13 @@ impl std::fmt::Display for BudgetError {
                 write!(f, "epsilon must lie strictly inside (0, 1), got {v}")
             }
             BudgetError::ZeroSamples => write!(f, "fixed sample budget must be positive"),
+            BudgetError::TooManySamples(n) => {
+                write!(
+                    f,
+                    "fixed sample budget must be at most {}, got {n}",
+                    i64::MAX
+                )
+            }
             BudgetError::Threshold => {
                 write!(f, "certification threshold must lie inside [0, 1]")
             }
@@ -104,6 +114,16 @@ fn unit_open(value: f64, err: fn(f64) -> BudgetError) -> Result<f64, BudgetError
         Ok(value)
     } else {
         Err(err(value))
+    }
+}
+
+/// `Ok(samples)` iff a fixed-mode budget is drawable: positive and no
+/// larger than `i64::MAX`.
+fn sample_count(samples: u64) -> Result<u64, BudgetError> {
+    match samples {
+        0 => Err(BudgetError::ZeroSamples),
+        n if n > i64::MAX as u64 => Err(BudgetError::TooManySamples(n)),
+        n => Ok(n),
     }
 }
 
@@ -184,12 +204,10 @@ impl Budget {
     /// Builder-style override of the fixed-mode sample count (also
     /// switches to [`SampleMode::Fixed`], which is the only mode that
     /// reads it). A zero budget is rejected as
-    /// [`BudgetError::ZeroSamples`].
+    /// [`BudgetError::ZeroSamples`], one above `i64::MAX` as
+    /// [`BudgetError::TooManySamples`].
     pub fn with_samples(mut self, samples: u64) -> Result<Self, BudgetError> {
-        if samples == 0 {
-            return Err(BudgetError::ZeroSamples);
-        }
-        self.samples = samples;
+        self.samples = sample_count(samples)?;
         self.mode = SampleMode::Fixed;
         Ok(self)
     }
@@ -250,11 +268,10 @@ impl Budget {
             }
         }
         match self.mode {
-            SampleMode::Fixed if self.samples == 0 => Err(BudgetError::ZeroSamples),
+            SampleMode::Fixed => sample_count(self.samples).map(|_| ()),
             SampleMode::Adaptive { epsilon } => {
                 unit_open(epsilon, BudgetError::Epsilon).map(|_| ())
             }
-            _ => Ok(()),
         }
     }
 }
@@ -704,6 +721,25 @@ mod tests {
         assert_eq!(
             Budget::default().with_samples(0),
             Err(BudgetError::ZeroSamples)
+        );
+        let too_many = i64::MAX as u64 + 1;
+        for n in [too_many, u64::MAX] {
+            assert_eq!(
+                Budget::default().with_samples(n),
+                Err(BudgetError::TooManySamples(n))
+            );
+        }
+        // The largest drawable count still builds, and a struct literal
+        // smuggling one past the builders is caught by `validate`.
+        assert!(Budget::default().with_samples(i64::MAX as u64).is_ok());
+        let smuggled = Budget {
+            samples: too_many,
+            mode: SampleMode::Fixed,
+            ..Budget::default()
+        };
+        assert_eq!(
+            smuggled.validate(),
+            Err(BudgetError::TooManySamples(too_many))
         );
         let ok = Budget::default()
             .with_delta(0.01)

@@ -9,7 +9,7 @@ use gfomc_engine::workload::{
     random_block_tid, random_gfomc_block_tid, random_query, random_weightings, SafetyTarget,
 };
 use gfomc_engine::{Engine, TupleWeights};
-use gfomc_logic::{wmc, wmc_brute_force, Var};
+use gfomc_logic::{wmc, wmc_brute_force, EvalArena, Var};
 use gfomc_tid::{lineage, probability, Tid};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -53,10 +53,11 @@ proptest! {
         // Compile once…
         let compiled = Engine::new().compile(&q, &tid);
         let weightings = random_weightings(&mut rng, &compiled.tuples(), n_weights);
-        // …evaluate many, against N full re-groundings + re-expansions.
-        let batch = compiled.evaluate_batch(&weightings);
-        for (w, got) in weightings.iter().zip(&batch) {
-            prop_assert_eq!(got, &recompute_per_weight(&q, &tid, w));
+        // …evaluate many over one reused arena, against N full
+        // re-groundings + re-expansions.
+        let mut arena = EvalArena::new();
+        for w in &weightings {
+            prop_assert_eq!(compiled.evaluate_with(w, &mut arena), recompute_per_weight(&q, &tid, w));
         }
     }
 

@@ -22,9 +22,10 @@
 //!   and `Decision = p·hi + (1 − p)·lo`, are written once, generic over a
 //!   value lane: the hybrid exact lane (machine-word rationals that spill
 //!   to bignum) or the certified interval lane. The forward pass on either
-//!   lane, incremental re-pricing ([`crate::priced::PricedCircuit`]) and
-//!   the per-cell arithmetic of the batch kernel all price gates through
-//!   it, so their results agree by construction;
+//!   lane and incremental re-pricing ([`crate::priced::PricedCircuit`])
+//!   both price gates through it, so their results agree by construction;
+//!   evaluate-many callers loop that one forward pass over their
+//!   weightings, reusing one [`EvalArena`];
 //! * **interval-first evaluation** — [`FlatCircuit::eval_interval_with`]
 //!   prices every gate in certified outward-rounded `f64`
 //!   ([`Interval`]) at a few nanoseconds per gate; callers that only need
@@ -46,12 +47,6 @@ use gfomc_arith::{Certifies, Interval, Rat64, Rational};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Cap on `gates × lanes` hybrid cells held live by one batch-kernel
-/// call; batches wider than `MAX_BATCH_CELLS / gate_count` lanes are
-/// priced in consecutive chunks (exact arithmetic, so chunking cannot
-/// change any value).
-const MAX_BATCH_CELLS: usize = 1 << 18;
 
 /// One gate value of the hybrid exact pass: machine words while every
 /// intermediate fits ([`Rat64`]), exact bignum from the first overflow on.
@@ -483,123 +478,16 @@ impl FlatCircuit {
     /// pools built by [`Compiler::finish_flat`] (ids are preserved, so
     /// `NodeId`s returned by [`Compiler::compile`] index the result).
     pub fn evaluate_all<W: WeightFn>(&self, w: &W) -> Valuation {
-        let mut arena = EvalArena::new();
-        self.eval_exact_with(w, &mut arena);
+        self.evaluate_all_with(w, &mut EvalArena::new())
+    }
+
+    /// [`FlatCircuit::evaluate_all`] reusing the arena's slabs, for
+    /// callers that price one pool under many weightings.
+    pub fn evaluate_all_with<W: WeightFn>(&self, w: &W, arena: &mut EvalArena) -> Valuation {
+        self.eval_exact_with(w, arena);
         Valuation {
             values: arena.cells.iter().map(LaneVal::to_rational).collect(),
         }
-    }
-
-    /// Lanes per batch-kernel call: enough to amortize the topological
-    /// walk, bounded so `gates × lanes` hybrid cells stay in cache-ish
-    /// memory even for huge pools.
-    fn batch_chunk_lanes(&self) -> usize {
-        (MAX_BATCH_CELLS / self.gate_count().max(1)).max(1)
-    }
-
-    /// The batch forward pass: fills `arena.lane_cells` with a gate-major
-    /// `values[gate][lane]` hybrid matrix — **one** walk of `ops` /
-    /// `children` prices all `ws.len()` weightings, so the topological
-    /// scan and children decoding amortize across the batch. Each cell is
-    /// priced with the exact lane's gate arithmetic ([`Lane`]), children
-    /// outer and lanes inner.
-    fn eval_batch_cells<W: WeightFn>(&self, ws: &[W], arena: &mut EvalArena) {
-        let k = ws.len();
-        let nslots = self.vars.len();
-        // Lane-major slot table: lane `l`'s weights at `l*nslots..`.
-        arena.slots.clear();
-        for w in ws {
-            self.resolve(w, &mut arena.slots);
-        }
-        let (slots, cells) = (&arena.slots, &mut arena.lane_cells);
-        cells.clear();
-        cells.resize(self.ops.len() * k, LaneVal::constant(false));
-        for g in 0..self.ops.len() {
-            // Children precede parents, so rows before `g * k` are final.
-            let (done, rest) = cells.split_at_mut(g * k);
-            let cur = &mut rest[..k];
-            let row = |kid: u32| &done[kid as usize * k..kid as usize * k + k];
-            match self.ops[g] {
-                // `False` rows keep the zero fill.
-                Op::False => {}
-                Op::True => cur.fill(LaneVal::constant(true)),
-                Op::Leaf => {
-                    let slot = self.var_slot[g] as usize;
-                    for (l, cell) in cur.iter_mut().enumerate() {
-                        *cell = LaneVal::leaf(&slots[l * nslots + slot]);
-                    }
-                }
-                Op::Product => {
-                    cur.fill(LaneVal::constant(true));
-                    for &kid in self.kids(g) {
-                        for (cell, kv) in cur.iter_mut().zip(row(kid)) {
-                            if !cell.absorbing() {
-                                *cell = cell.times(kv);
-                            }
-                        }
-                    }
-                }
-                Op::Decision => {
-                    let slot = self.var_slot[g] as usize;
-                    let kids = self.kids(g);
-                    let (hrow, lrow) = (row(kids[0]), row(kids[1]));
-                    for (l, cell) in cur.iter_mut().enumerate() {
-                        *cell = LaneVal::decide(&slots[l * nslots + slot], &hrow[l], &lrow[l]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Exact root values for a whole batch of weightings in **one**
-    /// topological walk (the many-weightings-per-gate-visit kernel).
-    /// Output order matches input order; every value is bit-identical to
-    /// the serial [`FlatCircuit::eval_exact_with`] loop.
-    pub fn eval_batch_exact_with<W: WeightFn>(
-        &self,
-        ws: &[W],
-        arena: &mut EvalArena,
-    ) -> Vec<Rational> {
-        let mut out = Vec::with_capacity(ws.len());
-        for chunk in ws.chunks(self.batch_chunk_lanes()) {
-            self.eval_batch_cells(chunk, arena);
-            let row = self.root as usize * chunk.len();
-            out.extend(
-                arena.lane_cells[row..row + chunk.len()]
-                    .iter()
-                    .map(LaneVal::to_rational),
-            );
-        }
-        out
-    }
-
-    /// Evaluates **every** gate exactly under each weighting of the batch
-    /// in one topological walk — the batched [`FlatCircuit::evaluate_all`]
-    /// behind the lifted inclusion–exclusion pool and the Type-II Möbius
-    /// cells: one multi-rooted pool, `k` weightings, every root priced.
-    pub fn evaluate_all_batch<W: WeightFn>(&self, ws: &[W]) -> Vec<Valuation> {
-        let mut out = Vec::with_capacity(ws.len());
-        let mut arena = EvalArena::new();
-        for chunk in ws.chunks(self.batch_chunk_lanes()) {
-            self.eval_batch_cells(chunk, &mut arena);
-            let k = chunk.len();
-            for l in 0..k {
-                out.push(Valuation {
-                    values: (0..self.ops.len())
-                        .map(|g| arena.lane_cells[g * k + l].to_rational())
-                        .collect(),
-                });
-            }
-        }
-        out
-    }
-
-    /// Exact batch evaluation through the batch kernel: one gate walk per
-    /// cell-budget-sized chunk of weightings (`MAX_BATCH_CELLS`).
-    /// Output order matches input order and every value is bit-identical
-    /// to a serial per-weighting evaluation.
-    pub fn evaluate_batch<W: WeightFn>(&self, weights: &[W]) -> Vec<Rational> {
-        self.eval_batch_exact_with(weights, &mut EvalArena::new())
     }
 
     /// Builds the parent index of the circuit: for every gate, the gates
@@ -665,30 +553,26 @@ impl ReverseTopology {
 /// Reusable evaluation buffers of the flat evaluator.
 ///
 /// Bottom-up evaluation needs one slot per gate. Allocating those vectors
-/// anew for every weight assignment dominated the batched evaluation
-/// profile; an arena created once and threaded through
-/// [`FlatCircuit::eval_exact_with`] / [`FlatCircuit::eval_interval_with`]
-/// keeps the capacity across weightings. The slabs:
+/// anew for every weight assignment dominated the evaluate-many profile;
+/// an arena created once and threaded through
+/// [`FlatCircuit::eval_exact_with`] / [`FlatCircuit::evaluate_all_with`] /
+/// [`FlatCircuit::eval_interval_with`] keeps the capacity across
+/// weightings. The slabs:
 ///
 /// * `slots` — the weighting resolved once per *distinct variable*
 ///   (weight, complement, and their machine-word forms), so the per-gate
 ///   loop indexes a dense slice instead of re-querying the weight function
-///   at every leaf and decision; the batch kernel keeps every lane's slots
-///   here, lane after lane;
+///   at every leaf and decision;
 /// * `cells` — one hybrid exact value per gate (machine words until an op
 ///   overflows, exact bignum after);
 /// * `slot_intervals` / `intervals` — the interval lane's per-slot weights
-///   and one certified enclosure per gate (plain `Copy` doubles);
-/// * `lane_cells` — the batch kernel's gate-major `values[gate][lane]`
-///   matrix ([`FlatCircuit::eval_batch_exact_with`]), so one topological
-///   walk prices every weighting of the batch.
+///   and one certified enclosure per gate (plain `Copy` doubles).
 #[derive(Clone, Debug, Default)]
 pub struct EvalArena {
     slots: Vec<SlotW>,
     cells: Vec<LaneVal>,
     slot_intervals: Vec<Interval>,
     intervals: Vec<Interval>,
-    lane_cells: Vec<LaneVal>,
 }
 
 impl EvalArena {
@@ -791,57 +675,5 @@ mod tests {
         let tree_vals = comp.evaluate_all(&w);
         assert_eq!(flat_vals.value(rf), tree_vals.value(rf));
         assert_eq!(flat_vals.value(rg), tree_vals.value(rg));
-    }
-
-    #[test]
-    fn batch_kernel_matches_serial_loop_bit_identically() {
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[3, 4]), cl(&[1, 4])]);
-        let flat = Circuit::compile(&f).flatten();
-        let weights: Vec<UniformWeight> = (0..=16).map(|k| UniformWeight(r(k, 16))).collect();
-        let mut arena = EvalArena::new();
-        let batch = flat.eval_batch_exact_with(&weights, &mut arena);
-        let serial: Vec<Rational> = weights
-            .iter()
-            .map(|w| flat.eval_exact_with(w, &mut arena))
-            .collect();
-        assert_eq!(batch, serial);
-    }
-
-    #[test]
-    fn evaluate_all_batch_matches_evaluate_all_loop() {
-        let mut comp = Compiler::new();
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3])]);
-        let g = Cnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[4])]);
-        let rf = comp.compile(&f);
-        let rg = comp.compile(&g);
-        let flat = comp.finish_flat();
-        let weights: Vec<UniformWeight> = (0..=5).map(|k| UniformWeight(r(k, 5))).collect();
-        let batch = flat.evaluate_all_batch(&weights);
-        for (vals, w) in batch.iter().zip(&weights) {
-            let serial = flat.evaluate_all(w);
-            assert_eq!(vals.value(rf), serial.value(rf));
-            assert_eq!(vals.value(rg), serial.value(rg));
-        }
-    }
-
-    #[test]
-    fn batch_chunking_is_value_neutral() {
-        // A batch wide enough to split into several kernel chunks must
-        // still match the serial loop exactly (chunk boundary coverage).
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3])]);
-        let flat = Circuit::compile(&f).flatten();
-        let chunk = flat.batch_chunk_lanes();
-        // Force ≥ 3 chunks by shrinking the circuit? The preset circuit is
-        // small, so lanes-per-chunk is large; instead check the arithmetic
-        // around an artificial chunk width of 4 via direct slicing.
-        assert!(chunk >= 1);
-        let weights: Vec<UniformWeight> = (0..=9).map(|k| UniformWeight(r(k, 9))).collect();
-        let mut arena = EvalArena::new();
-        let whole = flat.eval_batch_exact_with(&weights, &mut arena);
-        let mut pieces = Vec::new();
-        for part in weights.chunks(4) {
-            pieces.extend(flat.eval_batch_exact_with(part, &mut arena));
-        }
-        assert_eq!(whole, pieces);
     }
 }

@@ -1,9 +1,8 @@
 //! # gfomc-pool
 //!
 //! A persistent worker pool for the workspace's parallel hot paths —
-//! chunk-seeded sampling (`gfomc-approx`), batched circuit evaluation
-//! (`gfomc-logic`), and the engine's concurrent query front-end
-//! (`gfomc-engine`).
+//! chunk-seeded sampling (`gfomc-approx`) and the engine's concurrent
+//! query front-end (`gfomc-engine`).
 //!
 //! Before this crate, every parallel call site opened its own
 //! `std::thread::scope`, paying OS thread spawn/join for each batch and

@@ -19,7 +19,7 @@
 
 use crate::paths::clause_role;
 use gfomc_arith::Rational;
-use gfomc_logic::{Clause as PropClause, Cnf, Compiler, NodeId, Var, WeightsFromFn};
+use gfomc_logic::{Clause as PropClause, Cnf, Compiler, EvalArena, NodeId, Var, WeightsFromFn};
 use gfomc_query::{Atom, BipartiteQuery, CVar, Clause, Pred};
 use gfomc_tid::{Tid, Tuple};
 use std::collections::{BTreeSet, HashMap};
@@ -238,35 +238,29 @@ fn conjunction_of_disjunctions(
     // Evaluate-many: `Pr(∀ b ∈ inner: cell holds at (a,b))` factorizes over
     // `b`, and one bottom-up pass per `b` prices *all* cells at once. The
     // pool is frozen here, so it flattens once into the struct-of-arrays
-    // form and every pass runs the dense forward loop.
+    // form and every pass runs the dense forward loop over one arena.
     let flat = compiler.finish_flat();
     let inner: Vec<u32> = match side {
         Side::Left => tid.right_domain().to_vec(),
         Side::Right => tid.left_domain().to_vec(),
     };
     let mut cell_probs = vec![Rational::one(); roots.len()];
-    // Chunked so the all-zero short-circuit still fires early on sparse
-    // databases, while each chunk prices every `b`-lane in one batch pass.
-    for chunk in inner.chunks(16) {
-        let lanes: Vec<_> = chunk
-            .iter()
-            .map(|&b| {
-                WeightsFromFn(move |v: Var| {
-                    let t = match side {
-                        Side::Left => Tuple::S(v.0, a, b),
-                        Side::Right => Tuple::S(v.0, b, a),
-                    };
-                    tid.prob(&t)
-                })
-            })
-            .collect();
-        for values in flat.evaluate_all_batch(&lanes) {
-            for (acc, &root) in cell_probs.iter_mut().zip(&roots) {
-                if !acc.is_zero() {
-                    *acc = &*acc * values.value(root);
-                }
+    let mut arena = EvalArena::new();
+    for &b in &inner {
+        let w = WeightsFromFn(|v: Var| {
+            let t = match side {
+                Side::Left => Tuple::S(v.0, a, b),
+                Side::Right => Tuple::S(v.0, b, a),
+            };
+            tid.prob(&t)
+        });
+        let values = flat.evaluate_all_with(&w, &mut arena);
+        for (acc, &root) in cell_probs.iter_mut().zip(&roots) {
+            if !acc.is_zero() {
+                *acc = &*acc * values.value(root);
             }
         }
+        // Once every cell is zero no later `b` can move the product.
         if cell_probs.iter().all(Rational::is_zero) {
             break;
         }

@@ -184,6 +184,11 @@ fn malformed_bodies_map_to_400_and_never_kill_the_server() {
         "query R(x0) v S0(x0,y0) & S0(x0,y0) v T(y0)\nleft 0\nright 1\ndelta 2.0\n",
         "query R(x0) v S0(x0,y0) & S0(x0,y0) v T(y0)\nleft 0\nright 1\ntuple R(u9) 1/2\n",
         "utter nonsense\nmore nonsense\n",
+        // A sample count above i64::MAX on a sampled route: a typed budget
+        // error, not a panic in the sampler.
+        "query [R(x0) v S0(x0,y0)] & [S0(x0,y0) v T(y0)]\nleft 0 1\nright 1000\n\
+         tuple R(u0) 1/2\ntuple S0(u0,v1000) 3/8\ntuple T(v1000) 1/2\n\
+         max_circuit_cost 0\nsamples 9223372036854775808\nseed 3405695742\n",
     ];
     for bad in cases {
         let resp = conn.request("POST", "/eval", bad).expect("round trip");

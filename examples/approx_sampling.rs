@@ -122,9 +122,8 @@ fn main() {
     // ------------------------------------------------------------------
     let sampler = lineage_sampler(&uq, &utid);
     for samples in [1_000u64, 10_000, 100_000] {
-        let mut rng = StdRng::seed_from_u64(7);
         let t0 = Instant::now();
-        let est = sampler.estimate(&mut rng, samples, 0.05);
+        let est = sampler.estimate_seeded(7, samples, 0.05, 1);
         println!(
             "  {samples:>7} samples: Pr ≈ {:.6}, CI width {:.6} ({:?})",
             est.estimate.to_f64(),

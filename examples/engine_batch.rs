@@ -5,6 +5,7 @@
 //! Run with `cargo run --example engine_batch`.
 
 use gfomc::engine::workload::{random_block_tid, random_query, random_weightings, SafetyTarget};
+use gfomc::logic::EvalArena;
 use gfomc::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
@@ -35,13 +36,18 @@ fn main() {
 
     // ------------------------------------------------------------------
     // 3. Evaluate many: 12 random weight assignments, each priced by one
-    //    bottom-up circuit pass — no re-grounding, no re-expansion.
+    //    bottom-up circuit pass over one reused arena — no re-grounding,
+    //    no re-expansion.
     // ------------------------------------------------------------------
     let weightings = random_weightings(&mut rng, &compiled.tuples(), 12);
     let t1 = Instant::now();
-    let batch = compiled.evaluate_batch(&weightings);
+    let mut arena = EvalArena::new();
+    let batch: Vec<Rational> = weightings
+        .iter()
+        .map(|w| compiled.evaluate_with(w, &mut arena))
+        .collect();
     let batched = t1.elapsed();
-    println!("12 batched evaluations in {batched:?}");
+    println!("12 compiled evaluations in {batched:?}");
 
     // The same 12 answers the legacy way: re-ground + re-expand per weight.
     let t2 = Instant::now();

@@ -21,7 +21,7 @@
 //! | [`tid`] | `gfomc-tid` | Probabilistic databases, lineage, `Pr(Q)` |
 //! | [`safety`] | `gfomc-safety` | Dichotomy classifier, lifted evaluation |
 //! | [`approx`] | `gfomc-approx` | Karp–Luby sampling, (ε, δ) estimates |
-//! | [`engine`] | `gfomc-engine` | Knowledge compilation, batching, routing |
+//! | [`engine`] | `gfomc-engine` | Knowledge compilation, caching, routing |
 //! | [`core`] | `gfomc-core` | Blocks, reductions, hardness machinery |
 //!
 //! ## Quickstart
