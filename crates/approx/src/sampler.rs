@@ -51,14 +51,14 @@ pub fn samples_drawn_total() -> u64 {
     SAMPLES_DRAWN.load(Ordering::Relaxed)
 }
 
-/// Debug-asserts `0 < value < 1` — NaN included. Range checking moved to
-/// the typed `BudgetError` validation in `gfomc-engine`'s `Budget`
-/// builders (the public front door, which a network request can reach);
-/// by the time a parameter gets here it has already been validated, so
-/// this is a debug-build tripwire against new call paths that skip the
-/// builders, not a release-build gate.
+/// Asserts `0 < value < 1` — NaN included — in every build. The engine's
+/// `Budget` builders reject bad parameters first with a typed
+/// `BudgetError` (the front door a network request can reach); this check
+/// guards the public entry points of this crate (`AdaptiveConfig::new`,
+/// `KarpLuby::fpras_samples`, `estimate_seeded`) for callers that skip
+/// those builders. It costs two float compares per call.
 pub(crate) fn validate_unit_open(name: &str, value: f64) {
-    debug_assert!(
+    assert!(
         value > 0.0 && value < 1.0,
         "{name} must lie strictly inside (0, 1), got {value}"
     );

@@ -15,12 +15,14 @@
 //! after which `Pr(F, w)` for *any* weight function `w` is a single
 //! bottom-up pass, linear in the circuit size, with no hashing, no clause
 //! manipulation, and no re-canonicalization. Compilation is
-//! weight-independent: the branching order uses [`Cnf::branching_var`], the
-//! same heuristic as the legacy counter, so the two back-ends explore the
-//! same cofactors and can share one [`CnfInterner`] table.
+//! weight-independent. The descent runs on the bitset rows of the
+//! [`crate::cofactor`] kernel, which visits the cofactors a descent over
+//! [`Cnf::restrict`] / [`Cnf::components`] / [`Cnf::branching_var`] would
+//! visit, in the same order — the legacy counter's branching heuristic —
+//! so pools are gate-for-gate those of the `Cnf`-level descent.
 
 use crate::cnf::{Cnf, Var};
-use crate::intern::{CnfId, CnfInterner};
+use crate::cofactor::{BitCnf, VarIndex};
 use crate::wmc::WeightFn;
 use gfomc_arith::Rational;
 use std::collections::HashMap;
@@ -63,15 +65,17 @@ const TRUE_ID: NodeId = NodeId(1);
 
 /// Compiles CNFs into a growing multi-rooted circuit pool.
 ///
-/// The pool, the per-cofactor memo, and the [`CnfInterner`] persist across
+/// The pool, the per-cofactor memo, and the variable index persist across
 /// [`Compiler::compile`] calls, so formulas sharing cofactors (e.g. the
 /// `Q_αβ` cell family of the Type-II machinery) share sub-circuits. All
 /// formulas compiled by one `Compiler` must use a common variable
-/// namespace.
+/// namespace. The memo is keyed by the cofactors' bitset rows over one
+/// `Var`-ordered [`VarIndex`] of every variable seen so far; a formula
+/// bringing new variables widens the index and re-keys the memo.
 #[derive(Clone, Debug)]
 pub struct Compiler {
-    interner: CnfInterner,
-    memo: HashMap<CnfId, NodeId>,
+    index: VarIndex,
+    memo: HashMap<BitCnf, NodeId>,
     nodes: Vec<Node>,
 }
 
@@ -84,16 +88,8 @@ impl Default for Compiler {
 impl Compiler {
     /// An empty compiler (pool holds only the two constants).
     pub fn new() -> Self {
-        Compiler::with_interner(CnfInterner::new())
-    }
-
-    /// A compiler reusing an existing intern table — e.g. one recovered
-    /// from a [`crate::wmc::ModelCounter`] via
-    /// [`crate::wmc::ModelCounter::into_interner`], so that cofactors
-    /// canonicalized by the legacy path are not re-hashed here.
-    pub fn with_interner(interner: CnfInterner) -> Self {
         Compiler {
-            interner,
+            index: VarIndex::default(),
             memo: HashMap::new(),
             nodes: vec![Node::False, Node::True],
         }
@@ -108,27 +104,45 @@ impl Compiler {
         if f.is_false() {
             return FALSE_ID;
         }
-        let id = self.interner.intern(f);
-        if let Some(&n) = self.memo.get(&id) {
+        if let Some(moved) = self.index.absorb(f) {
+            let words = self.index.words();
+            self.memo = std::mem::take(&mut self.memo)
+                .into_iter()
+                .map(|(rows, n)| (rows.remap(&moved, words), n))
+                .collect();
+        }
+        self.descend(BitCnf::pack(f, &self.index))
+    }
+
+    /// The Shannon descent: components become a product gate, a connected
+    /// formula a decision on the kernel's branching variable.
+    fn descend(&mut self, f: BitCnf) -> NodeId {
+        if f.is_true() {
+            return TRUE_ID;
+        }
+        if f.is_false() {
+            return FALSE_ID;
+        }
+        if let Some(&n) = self.memo.get(&f) {
             return n;
         }
-        let comps = f.components();
-        let node = if comps.len() > 1 {
-            let kids: Vec<NodeId> = comps.iter().map(|c| self.compile(c)).collect();
-            Node::Product(kids)
-        } else {
-            let v = f.branching_var().expect("non-constant CNF has variables");
-            // A lone unit clause compiles to a leaf: Pr = w(v).
-            if f.len() == 1 && f.clauses()[0].len() == 1 {
-                Node::Leaf(v)
-            } else {
-                let hi = self.compile(&f.restrict(v, true));
-                let lo = self.compile(&f.restrict(v, false));
-                Node::Decision { var: v, hi, lo }
+        let node = match f.split_components() {
+            Some(parts) => Node::Product(parts.into_iter().map(|c| self.descend(c)).collect()),
+            None => {
+                let bit = f.branching_bit().expect("non-constant CNF has variables");
+                let var = self.index.var(bit);
+                // A lone unit clause compiles to a leaf: Pr = w(v).
+                if f.is_literal() {
+                    Node::Leaf(var)
+                } else {
+                    let hi = self.descend(f.restrict(bit, true));
+                    let lo = self.descend(f.restrict(bit, false));
+                    Node::Decision { var, hi, lo }
+                }
             }
         };
         let n = self.push(node);
-        self.memo.insert(id, n);
+        self.memo.insert(f, n);
         n
     }
 
@@ -205,12 +219,6 @@ impl Compiler {
             nodes,
             root: renumber[&root],
         }
-    }
-
-    /// Consumes the compiler, releasing its intern table for reuse by
-    /// another back-end.
-    pub fn into_interner(self) -> CnfInterner {
-        self.interner
     }
 }
 
@@ -449,19 +457,5 @@ mod tests {
         let f = Cnf::new([cl(&[1, 2])]);
         let c = Circuit::compile(&f);
         assert_eq!(c.decision_count(), 1);
-    }
-
-    #[test]
-    fn interner_handoff_between_backends() {
-        // A counter's intern table continues serving the compiler.
-        let w = half();
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3])]);
-        let mut mc = crate::wmc::ModelCounter::new(&w);
-        let p = mc.probability(&f);
-        let interner = mc.into_interner();
-        assert!(!interner.is_empty());
-        let mut comp = Compiler::with_interner(interner);
-        let root = comp.compile(&f);
-        assert_eq!(comp.evaluate_all(&w).value(root), &p);
     }
 }

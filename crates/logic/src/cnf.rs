@@ -346,8 +346,10 @@ impl Cnf {
 
     /// The preferred Shannon-branching variable: the most frequent one
     /// (ties broken toward the smallest index), or `None` for constants.
-    /// Both WMC back-ends branch on this variable so that their cofactor
-    /// trees — and hence their interned caches — coincide.
+    /// The Shannon counter branches here; the circuit compiler and the
+    /// cost estimate branch on [`crate::cofactor::BitCnf::branching_bit`],
+    /// which picks the same variable, so all three explore the same
+    /// cofactor trees.
     pub fn branching_var(&self) -> Option<Var> {
         let mut counts: std::collections::HashMap<Var, usize> = Default::default();
         for c in &self.clauses {

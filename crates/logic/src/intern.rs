@@ -1,15 +1,12 @@
 //! Interned canonical CNFs: dense integer ids for cofactor caches.
 //!
-//! Both WMC back-ends — the Shannon-expansion [`crate::wmc::ModelCounter`]
-//! and the knowledge-compilation [`crate::circuit::Compiler`] — memoize per
-//! canonical cofactor. Keying those memos by the full [`Cnf`] value hashes
+//! The Shannon-expansion [`crate::wmc::ModelCounter`] memoizes per
+//! canonical cofactor, and the engine caches compiled circuits per
+//! canonical lineage. Keying those maps by the full [`Cnf`] value hashes
 //! the entire clause set on every lookup *and* every insert, and clones the
 //! formula into the table. The interner hoists that cost: each distinct
 //! canonical CNF is hashed once when first seen and assigned a dense
-//! [`CnfId`]; all downstream caches key on the copy-free id. A single
-//! interner can be handed from a compiler to a counter (or vice versa) so
-//! the two paths share one table instead of re-canonicalizing each other's
-//! cofactors.
+//! [`CnfId`]; all downstream caches key on the copy-free id.
 
 use crate::cnf::Cnf;
 use std::collections::HashMap;

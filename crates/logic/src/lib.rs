@@ -11,6 +11,8 @@
 //! * [`mod@wmc`] — exact weighted model counting (the `Pr(Q)` oracle of the
 //!   paper's Cook reductions), by Shannon expansion with component
 //!   decomposition and memoization, plus brute-force ground truth;
+//! * [`cofactor`] — the cofactor kernel: canonical CNFs as bitset rows,
+//!   on which the circuit compiler and the router's cost estimate descend;
 //! * [`circuit`] — knowledge compilation of monotone CNFs into d-DNNF-style
 //!   arithmetic circuits, for compile-once / evaluate-many workloads;
 //! * [`flat`] — the struct-of-arrays evaluation form of those circuits
@@ -20,12 +22,14 @@
 //!   persisted per-gate values, reverse topology, dirty-path incremental
 //!   re-pricing on weight updates, and the downward derivative pass
 //!   (∂Pr/∂p per distinct variable in one sweep);
-//! * [`intern`] — canonical-CNF interning shared by both WMC back-ends;
+//! * [`intern`] — canonical-CNF interning for the Shannon counter's memo
+//!   and the engine's circuit cache;
 //! * [`decompose`] — the disconnection / distance / migrating-variable
 //!   analysis of Appendix B.
 
 pub mod circuit;
 pub mod cnf;
+pub mod cofactor;
 pub mod decompose;
 pub mod dnf;
 pub mod flat;
@@ -35,6 +39,7 @@ pub mod wmc;
 
 pub use circuit::{Circuit, Compiler, Node, NodeId, Valuation};
 pub use cnf::{Clause, Cnf, Var};
+pub use cofactor::{BitCnf, VarIndex};
 pub use dnf::Dnf;
 pub use flat::{
     interval_fallbacks_thread, interval_fallbacks_total, EvalArena, FlatCircuit, Op,

@@ -80,12 +80,11 @@ impl Default for WmcConfig {
 /// Weighted model counter with a memo cache that persists across queries
 /// (sound only while the weight function is unchanged).
 ///
-/// Cofactors are interned once into a shared [`CnfInterner`] and the memo
-/// is keyed by the resulting dense [`CnfId`] — one hash of the clause set
-/// per distinct cofactor, instead of re-hashing (and cloning) the full
-/// formula on every cache probe. The interner can be handed to the circuit
-/// compiler ([`crate::circuit::Compiler::with_interner`]) and back, so the
-/// legacy and compiled paths share one canonicalization table.
+/// Cofactors are interned once into a [`CnfInterner`] and the memo is
+/// keyed by the resulting dense [`CnfId`] — one hash of the clause set per
+/// distinct cofactor, instead of re-hashing (and cloning) the full formula
+/// on every cache probe. (The circuit compiler keys its memo by the
+/// bitset rows of [`crate::cofactor::BitCnf`] instead.)
 pub struct ModelCounter<'w, W: WeightFn> {
     weights: &'w W,
     interner: CnfInterner,
@@ -103,26 +102,13 @@ impl<'w, W: WeightFn> ModelCounter<'w, W> {
 
     /// Creates a counter with explicit ablation switches.
     pub fn with_config(weights: &'w W, config: WmcConfig) -> Self {
-        Self::with_interner(weights, config, CnfInterner::new())
-    }
-
-    /// Creates a counter reusing an existing intern table (e.g. from a
-    /// circuit [`crate::circuit::Compiler`]). The probability memo starts
-    /// empty — only canonicalization work is shared, so differing weight
-    /// functions stay sound.
-    pub fn with_interner(weights: &'w W, config: WmcConfig, interner: CnfInterner) -> Self {
         ModelCounter {
             weights,
-            interner,
+            interner: CnfInterner::new(),
             cache: HashMap::new(),
             config,
             branch_count: 0,
         }
-    }
-
-    /// Consumes the counter, releasing its intern table for reuse.
-    pub fn into_interner(self) -> CnfInterner {
-        self.interner
     }
 
     /// Computes `Pr(f)` under the counter's weights.

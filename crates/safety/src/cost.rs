@@ -22,10 +22,11 @@
 //! decomposition the compiler will actually perform*, without building any
 //! circuit: recursively split into variable-disjoint components (costs
 //! **add**), Shannon-branch single components on exactly the variable the
-//! compiler itself will branch on ([`Cnf::branching_var`] — the cheapest
-//! split the compiler realizes, which is what makes the min over its two
-//! cofactors a *sound* upper bound of the real expansion), and only at a
-//! fixed work budget or at small subformulas fall back to the
+//! compiler itself will branch on ([`BitCnf::branching_bit`], the one
+//! branching function of the cofactor kernel both descents run on — the
+//! cheapest split the compiler realizes, which is what makes the min over
+//! its two cofactors a *sound* upper bound of the real expansion), and
+//! only at a fixed work budget or at small subformulas fall back to the
 //! `clauses · 2^vars` leaf bound. Restriction exposes the component
 //! structure that the monolithic bound cannot see — on the paper's block
 //! databases a handful of splits decouples the `S_s(u, v)` cells and the
@@ -38,6 +39,13 @@
 //! the real cost and route an exponential compilation to the exact path —
 //! the one failure this module exists to prevent.)
 //!
+//! **Cost.** The descent runs on the bitset rows of
+//! [`gfomc_logic::cofactor`], the same kernel the compiler descends on,
+//! so components, restrictions and the branching variable are word
+//! operations rather than clause-vector rebuilds. It reports the same
+//! five fields as the descent over [`Cnf`]'s own methods, which
+//! `tests/estimate_suite.rs` checks field for field.
+//!
 //! **Units.** Both bounds are denominated in *flat gates* — entries of the
 //! struct-of-arrays [`gfomc_logic::FlatCircuit`] the engine actually
 //! caches, one per compiled Shannon node (constants, leaves, products,
@@ -46,7 +54,7 @@
 //! unit, so a budget passed to [`CircuitCostEstimate::within`] and a
 //! cache capacity measured in gates are directly comparable.
 
-use gfomc_logic::Cnf;
+use gfomc_logic::{BitCnf, Cnf, VarIndex};
 
 /// Exponent clamp: beyond 2^40 estimated gates every budget is blown, so
 /// the arithmetic saturates instead of overflowing.
@@ -55,9 +63,10 @@ const EXPONENT_CLAMP: usize = 40;
 /// Total decision expansions the refined descent may spend before falling
 /// back to leaf bounds — caps the estimate's work whatever the lineage.
 /// The cap bounds the descent, not its price next to a compilation: on
-/// small unsafe 3×3 block lineages one estimate costs about as much as
-/// compiling the lineage outright (~320 µs against ~400 µs), which is why
-/// the engine stores each estimate with its cached circuit instead of
+/// the load benchmark's unsafe `eval_mixed` lineages one estimate costs
+/// about 35–40% of compiling the lineage outright (~35 µs against
+/// ~90 µs on a 2-vCPU host, both on the bitset cofactor kernel), which is
+/// why the engine stores each estimate with its cached circuit instead of
 /// recomputing it per request.
 const WORK_BUDGET: u32 = 600;
 
@@ -79,7 +88,7 @@ pub struct CircuitCostEstimate {
     /// upper bound on [`gfomc_logic::FlatCircuit::gate_count`] of the
     /// compiled lineage, simulated per-component recursively along the
     /// compiler's own branch variable
-    /// ([`gfomc_logic::Cnf::branching_var`] — never a min over other
+    /// ([`gfomc_logic::BitCnf::branching_bit`] — never a min over other
     /// candidates, which would be unsound; see the module docs),
     /// saturating at 2^40 per term.
     pub estimated_nodes: u64,
@@ -177,13 +186,13 @@ impl core::str::FromStr for CircuitCostEstimate {
 /// its formula into components once and reads every component's variables
 /// once; both bounds and the variable count come out of that one split.
 pub fn circuit_cost_estimate(f: &Cnf) -> CircuitCostEstimate {
-    let comps = f.components();
+    let packed = BitCnf::pack(f, &VarIndex::of(f));
     let mut work = WORK_BUDGET;
-    let bounds = split_bounds(&comps, &mut work);
+    let bounds = split_bounds(&packed, &mut work);
     CircuitCostEstimate {
         vars: bounds.vars,
-        clauses: f.len(),
-        components: comps.len(),
+        clauses: packed.clause_count(),
+        components: bounds.components,
         estimated_nodes: bounds.refined.min(bounds.leaf),
         worst_case_nodes: bounds.leaf,
     }
@@ -206,23 +215,32 @@ struct Bounds {
     /// Variables of the formula (components are variable-disjoint, so
     /// their counts add).
     vars: usize,
+    /// Number of connected components.
+    components: usize,
 }
 
-/// [`Bounds`] of the formula whose connected components are `comps`. A
-/// single component is priced on its own; several cost one product gate
-/// plus the sum of their parts. `⊤` (no components) has closed form 0 and
-/// refined bound 1; `⊥` (one empty component) has both bounds 1.
-fn split_bounds(comps: &[Cnf], work: &mut u32) -> Bounds {
+/// [`Bounds`] of `f`, from its connected components. A single component
+/// is priced on its own; several cost one product gate plus the sum of
+/// their parts. `⊤` (no components) has closed form 0 and refined bound 1;
+/// `⊥` (one empty component) has both bounds 1.
+fn split_bounds(f: &BitCnf, work: &mut u32) -> Bounds {
+    let parts = f.split_components();
+    let comps: &[BitCnf] = match &parts {
+        Some(parts) => parts,
+        None if f.is_true() => &[],
+        None => std::slice::from_ref(f),
+    };
     let mut bounds = Bounds {
         // The product gate joining several components (`⊤`'s lone gate
         // when there are none); a single component needs no join.
         refined: u64::from(comps.len() != 1),
         leaf: 0,
         vars: 0,
+        components: comps.len(),
     };
     for c in comps {
-        let vars = c.vars().len();
-        let leaf = (c.len().max(1) as u64).saturating_mul(pow2_clamped(vars));
+        let vars = c.var_count();
+        let leaf = (c.clause_count().max(1) as u64).saturating_mul(pow2_clamped(vars));
         let refined = refined_component(c, vars, leaf, work);
         bounds.refined = bounds.refined.saturating_add(refined);
         bounds.leaf = bounds.leaf.saturating_add(leaf);
@@ -233,18 +251,18 @@ fn split_bounds(comps: &[Cnf], work: &mut u32) -> Bounds {
 
 /// The refined bound of one connected component with `vars` variables and
 /// closed-form bound `leaf`, following exactly the branch variable the
-/// compiler will use ([`Cnf::branching_var`]) so the result is a sound
+/// compiler will use ([`BitCnf::branching_bit`]) so the result is a sound
 /// upper bound of the compiler's memoization-free expansion. `work` is the
 /// shared expansion budget; when it runs dry, subtrees fall back to their
 /// closed form.
-fn refined_component(f: &Cnf, vars: usize, leaf: u64, work: &mut u32) -> u64 {
+fn refined_component(f: &BitCnf, vars: usize, leaf: u64, work: &mut u32) -> u64 {
     if vars <= LEAF_VARS || *work == 0 {
         return leaf;
     }
     *work -= 1;
-    let v = f.branching_var().expect("non-constant CNF has variables");
-    let hi = split_bounds(&f.restrict(v, true).components(), work).refined;
-    let lo = split_bounds(&f.restrict(v, false).components(), work).refined;
+    let bit = f.branching_bit().expect("non-constant CNF has variables");
+    let hi = split_bounds(&f.restrict(bit, true), work).refined;
+    let lo = split_bounds(&f.restrict(bit, false), work).refined;
     // The refinement may never exceed what the closed form promises.
     hi.saturating_add(lo).saturating_add(1).min(leaf)
 }
