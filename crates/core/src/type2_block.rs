@@ -22,7 +22,7 @@
 use crate::block::ConstAlloc;
 use crate::reduction_type2::type_ii_lattices;
 use gfomc_arith::Rational;
-use gfomc_logic::{Clause as PClause, Cnf, ModelCounter, Var};
+use gfomc_logic::{wmc, Clause as PClause, Cnf, Var};
 use gfomc_query::{BipartiteQuery, ClauseShape};
 use gfomc_tid::{lineage, Tid, Tuple, VarTable};
 
@@ -160,7 +160,9 @@ pub fn y_alpha_beta(
 }
 
 /// The probability table `y_{αβ}(p)` over the strict lattice supports, at
-/// the all-½ assignment.
+/// the all-½ assignment. Each cell is compiled on its own: every cell
+/// builds its own [`VarTable`], so one `Var` can name different tuples in
+/// different cells, and a shared compiler pool would mix them up.
 pub fn y_table(q: &BipartiteQuery, p: usize, r: usize) -> Vec<Vec<Rational>> {
     let lats = type_ii_lattices(q);
     let mut alloc = ConstAlloc::new(10, 10);
@@ -172,8 +174,7 @@ pub fn y_table(q: &BipartiteQuery, p: usize, r: usize) -> Vec<Vec<Rational>> {
         let mut row = Vec::with_capacity(right0.len());
         for b in &right0 {
             let (cnf, vars) = y_alpha_beta(q, &block, &a.formula, &b.formula);
-            let mut mc = ModelCounter::new(vars.weights());
-            row.push(mc.probability(&cnf));
+            row.push(wmc(&cnf, vars.weights()));
         }
         out.push(row);
     }

@@ -33,8 +33,9 @@
 //! ```
 //!
 //! The compiled form is exact: evaluation returns the same [`Rational`] as
-//! [`wmc`](gfomc_logic::wmc()) on the lineage (the property suites assert equality,
-//! not approximation). The [`workload`] module generates random block TIDs
+//! enumerating the lineage's assignments
+//! ([`wmc_brute_force`](gfomc_logic::wmc_brute_force())); the property
+//! suites assert equality, not approximation. The [`workload`] module generates random block TIDs
 //! and random bipartite queries at controlled safety for tests and benches.
 //!
 //! When exactness is not affordable, [`Engine::evaluate_auto`] (the

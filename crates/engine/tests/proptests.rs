@@ -1,5 +1,6 @@
-//! Property suite: the compiled engine is extensionally equal to the legacy
-//! WMC paths — exact [`Rational`] equality, never approximate.
+//! Property suite: the compiled engine is extensionally equal to
+//! brute-force enumeration of the lineage's assignments — exact
+//! [`Rational`] equality, never approximate.
 //!
 //! Random inputs come from the [`gfomc_engine::workload`] generator, driven
 //! by seeds that proptest draws; everything is deterministic end to end.
@@ -9,14 +10,14 @@ use gfomc_engine::workload::{
     random_block_tid, random_gfomc_block_tid, random_query, random_weightings, SafetyTarget,
 };
 use gfomc_engine::{Engine, TupleWeights};
-use gfomc_logic::{wmc, wmc_brute_force, EvalArena, Var};
+use gfomc_logic::{wmc_brute_force, EvalArena, Var};
 use gfomc_tid::{lineage, probability, Tid};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::HashMap;
 
-/// The legacy path: re-ground the query and re-run Shannon expansion from
-/// scratch under `weights` — what callers did before compilation existed.
+/// The naive path: re-ground the query under `weights` and enumerate every
+/// assignment of the lineage — no compilation, no Shannon descent.
 fn recompute_per_weight(
     q: &gfomc_query::BipartiteQuery,
     tid: &Tid,
@@ -27,7 +28,7 @@ fn recompute_per_weight(
         tid.set_prob(t, p.clone());
     }
     let lin = lineage(q, &tid);
-    wmc(&lin.cnf, lin.vars.weights())
+    wmc_brute_force(&lin.cnf, lin.vars.weights())
 }
 
 proptest! {
@@ -98,7 +99,7 @@ proptest! {
                 .iter()
                 .map(|(&var, p)| (var, p.clone()))
                 .collect();
-            prop_assert_eq!(via_circuit, wmc(&restricted, &weights));
+            prop_assert_eq!(via_circuit, wmc_brute_force(&restricted, &weights));
         }
     }
 }

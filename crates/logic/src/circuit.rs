@@ -1,7 +1,6 @@
 //! Knowledge compilation: monotone CNF → d-DNNF-style arithmetic circuit.
 //!
-//! [`wmc`](crate::wmc()) answers `Pr(F, w)` by Shannon expansion — and re-runs the
-//! expansion from scratch for every weight function. The paper's block
+//! This is the workspace's one Shannon descent. The paper's block
 //! constructions (§3, Theorem 3.4) evaluate the *same* lineage under *many*
 //! weight assignments, which is exactly the workload knowledge compilation
 //! amortizes: [`Compiler::compile`] runs the expansion **once**, recording
@@ -15,11 +14,14 @@
 //! after which `Pr(F, w)` for *any* weight function `w` is a single
 //! bottom-up pass, linear in the circuit size, with no hashing, no clause
 //! manipulation, and no re-canonicalization. Compilation is
-//! weight-independent. The descent runs on the bitset rows of the
-//! [`crate::cofactor`] kernel, which visits the cofactors a descent over
-//! [`Cnf::restrict`] / [`Cnf::components`] / [`Cnf::branching_var`] would
-//! visit, in the same order — the legacy counter's branching heuristic —
-//! so pools are gate-for-gate those of the `Cnf`-level descent.
+//! weight-independent, and a d-DNNF evaluates in any commutative semiring:
+//! one-shot [`wmc`](crate::wmc()) is compile + evaluate, and the
+//! multilinear arithmetization (`gfomc_poly::arithmetize`) is the same
+//! circuit priced over polynomials. The descent runs on the bitset rows of
+//! the [`crate::cofactor`] kernel, which visits the cofactors a descent
+//! over [`Cnf::restrict`] / [`Cnf::components`] / [`Cnf::branching_var`]
+//! would visit, in the same order, so pools are gate-for-gate those of
+//! the `Cnf`-level reference descent.
 
 use crate::cnf::{Cnf, Var};
 use crate::cofactor::{BitCnf, VarIndex};
@@ -279,8 +281,8 @@ impl Circuit {
         self.nodes.len()
     }
 
-    /// Number of Shannon-split gates — the compiled analogue of the legacy
-    /// counter's `branch_count` instrumentation.
+    /// Number of Shannon-split gates: the branchings of the descent that
+    /// compiled the circuit, each cofactor counted once.
     pub fn decision_count(&self) -> usize {
         self.nodes
             .iter()
@@ -329,7 +331,7 @@ fn evaluate_pool<W: WeightFn>(nodes: &[Node], w: &W) -> Vec<Rational> {
 mod tests {
     use super::*;
     use crate::cnf::Clause;
-    use crate::wmc::{wmc, wmc_brute_force, UniformWeight};
+    use crate::wmc::{wmc_brute_force, UniformWeight};
 
     fn cl(vs: &[u32]) -> Clause {
         Clause::new(vs.iter().map(|&i| Var(i)))
@@ -389,16 +391,15 @@ mod tests {
 
     #[test]
     fn deterministic_weights_are_exact() {
-        // Unlike the legacy counter (which pre-eliminates 0/1-weight
-        // variables), the circuit handles them arithmetically: the Shannon
-        // gate degenerates to the forced branch.
+        // The circuit handles 0/1-weight variables arithmetically: the
+        // Shannon gate degenerates to the forced branch.
         let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3])]);
         let c = Circuit::compile(&f);
         let mut w = std::collections::HashMap::new();
         w.insert(Var(1), Rational::one());
         w.insert(Var(2), Rational::zero());
         w.insert(Var(3), r(1, 3));
-        assert_eq!(c.evaluate(&w), wmc(&f, &w));
+        assert_eq!(c.evaluate(&w), wmc_brute_force(&f, &w));
     }
 
     #[test]
@@ -407,7 +408,7 @@ mod tests {
         let c = Circuit::compile(&f);
         let weights: Vec<UniformWeight> = (0..=8).map(|k| UniformWeight(r(k, 8))).collect();
         for w in &weights {
-            assert_eq!(c.evaluate(w), wmc(&f, w));
+            assert_eq!(c.evaluate(w), wmc_brute_force(&f, w));
         }
     }
 

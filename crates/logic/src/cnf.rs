@@ -346,10 +346,10 @@ impl Cnf {
 
     /// The preferred Shannon-branching variable: the most frequent one
     /// (ties broken toward the smallest index), or `None` for constants.
-    /// The Shannon counter branches here; the circuit compiler and the
-    /// cost estimate branch on [`crate::cofactor::BitCnf::branching_bit`],
-    /// which picks the same variable, so all three explore the same
-    /// cofactor trees.
+    /// The circuit compiler and the cost estimate branch on
+    /// [`crate::cofactor::BitCnf::branching_bit`], which picks the same
+    /// variable; this method is the reference the kernel is tested
+    /// against, so all of them explore the same cofactor trees.
     pub fn branching_var(&self) -> Option<Var> {
         let mut counts: std::collections::HashMap<Var, usize> = Default::default();
         for c in &self.clauses {

@@ -20,10 +20,11 @@
 //!   indexes it;
 //! * **one gate kernel** — the two gate formulas, `Product = Π children`
 //!   and `Decision = p·hi + (1 − p)·lo`, are written once, generic over a
-//!   value lane: the hybrid exact lane (machine-word rationals that spill
-//!   to bignum) or the certified interval lane. The forward pass on either
-//!   lane and incremental re-pricing ([`crate::priced::PricedCircuit`])
-//!   both price gates through it, so their results agree by construction;
+//!   value [`Lane`]: the hybrid exact lane (machine-word rationals that
+//!   spill to bignum), the certified interval lane, or (in `gfomc-poly`)
+//!   polynomials for the arithmetization. The forward pass on any lane
+//!   and incremental re-pricing ([`crate::priced::PricedCircuit`]) all
+//!   price gates through it, so their results agree by construction;
 //!   evaluate-many callers loop that one forward pass over their
 //!   weightings, reusing one [`EvalArena`];
 //! * **interval-first evaluation** — [`FlatCircuit::eval_interval_with`]
@@ -94,11 +95,13 @@ impl SlotW {
     }
 }
 
-/// A value lane of the gate kernel ([`FlatCircuit::price`]): the
-/// arithmetic one gate formula needs, and nothing else. Two impls — the
-/// hybrid exact lane ([`LaneVal`], weighted by [`SlotW`]) and the
-/// certified interval lane ([`Interval`]).
-pub(crate) trait Lane {
+/// A value lane of the gate kernel: the arithmetic one gate formula
+/// needs, and nothing else — any commutative semiring with a Shannon
+/// gate. Here: the hybrid exact lane (machine-word rationals that spill
+/// to bignum) and the certified interval lane ([`Interval`]);
+/// `gfomc-poly` adds the polynomial lane of the arithmetization. A lane
+/// runs through [`FlatCircuit::forward`].
+pub trait Lane {
     /// One distinct variable's resolved weight.
     type Weight;
     /// The constant gate: `1` when `one`, else `0`.
@@ -398,8 +401,9 @@ impl FlatCircuit {
 
     /// The forward pass on lane `L`: every gate priced by the gate kernel
     /// in id order (children before parents), one value per gate into
-    /// `out`.
-    pub(crate) fn forward<L: Lane>(&self, w: &[L::Weight], out: &mut Vec<L>) {
+    /// `out`. `w` holds one weight per distinct variable, in the slot
+    /// order of [`FlatCircuit::vars`].
+    pub fn forward<L: Lane>(&self, w: &[L::Weight], out: &mut Vec<L>) {
         out.clear();
         out.reserve(self.ops.len());
         for g in 0..self.ops.len() {

@@ -1,12 +1,12 @@
 //! Interned canonical CNFs: dense integer ids for cofactor caches.
 //!
-//! The Shannon-expansion [`crate::wmc::ModelCounter`] memoizes per
-//! canonical cofactor, and the engine caches compiled circuits per
-//! canonical lineage. Keying those maps by the full [`Cnf`] value hashes
-//! the entire clause set on every lookup *and* every insert, and clones the
-//! formula into the table. The interner hoists that cost: each distinct
-//! canonical CNF is hashed once when first seen and assigned a dense
-//! [`CnfId`]; all downstream caches key on the copy-free id.
+//! The engine caches compiled circuits per canonical lineage. Keying that
+//! map by the full [`Cnf`] value hashes the entire clause set on every
+//! lookup *and* every insert, and clones the formula into the table. The
+//! interner hoists that cost: each distinct canonical CNF is hashed once
+//! when first seen and assigned a dense [`CnfId`]; the cache keys on the
+//! copy-free id. (The circuit compiler's memo keys on the bitset rows of
+//! [`crate::cofactor::BitCnf`] instead.)
 
 use crate::cnf::Cnf;
 use std::collections::HashMap;

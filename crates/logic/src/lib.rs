@@ -9,8 +9,8 @@
 //!   CNF (De Morgan transliteration) that turns lineage counting into the
 //!   DNF-union problem the Karp–Luby estimator (`gfomc-approx`) samples;
 //! * [`mod@wmc`] — exact weighted model counting (the `Pr(Q)` oracle of the
-//!   paper's Cook reductions), by Shannon expansion with component
-//!   decomposition and memoization, plus brute-force ground truth;
+//!   paper's Cook reductions) as compile + evaluate, plus brute-force
+//!   ground truth;
 //! * [`cofactor`] — the cofactor kernel: canonical CNFs as bitset rows,
 //!   on which the circuit compiler and the router's cost estimate descend;
 //! * [`circuit`] — knowledge compilation of monotone CNFs into d-DNNF-style
@@ -22,8 +22,7 @@
 //!   persisted per-gate values, reverse topology, dirty-path incremental
 //!   re-pricing on weight updates, and the downward derivative pass
 //!   (∂Pr/∂p per distinct variable in one sweep);
-//! * [`intern`] — canonical-CNF interning for the Shannon counter's memo
-//!   and the engine's circuit cache;
+//! * [`intern`] — canonical-CNF interning for the engine's circuit cache;
 //! * [`decompose`] — the disconnection / distance / migrating-variable
 //!   analysis of Appendix B.
 
@@ -42,15 +41,12 @@ pub use cnf::{Clause, Cnf, Var};
 pub use cofactor::{BitCnf, VarIndex};
 pub use dnf::Dnf;
 pub use flat::{
-    interval_fallbacks_thread, interval_fallbacks_total, EvalArena, FlatCircuit, Op,
+    interval_fallbacks_thread, interval_fallbacks_total, EvalArena, FlatCircuit, Lane, Op,
     ReverseTopology,
 };
 pub use intern::{CnfId, CnfInterner};
 pub use priced::{PricedCircuit, UpdateStats};
-pub use wmc::{
-    count_models, wmc, wmc_brute_force, ModelCounter, UniformWeight, WeightFn, WeightsFromFn,
-    WmcConfig,
-};
+pub use wmc::{wmc, wmc_brute_force, UniformWeight, WeightFn, WeightsFromFn};
 
 #[cfg(test)]
 mod proptests {
@@ -91,12 +87,10 @@ mod proptests {
 
         #[test]
         fn circuit_matches_wmc_and_brute_force(f in arb_cnf(), w in arb_weights()) {
-            // The compiled circuit, the Shannon counter, and exhaustive
-            // enumeration must agree exactly (Rational equality).
+            // The compiled circuit and exhaustive enumeration must agree
+            // exactly (Rational equality).
             let c = Circuit::compile(&f);
-            let via_circuit = c.evaluate(&w);
-            prop_assert_eq!(&via_circuit, &wmc(&f, &w));
-            prop_assert_eq!(via_circuit, wmc_brute_force(&f, &w));
+            prop_assert_eq!(c.evaluate(&w), wmc_brute_force(&f, &w));
         }
 
         #[test]
@@ -106,7 +100,7 @@ mod proptests {
             let c = Circuit::compile(&f);
             for k in 0..=4i64 {
                 let w = UniformWeight(Rational::from_ints(k, 4));
-                prop_assert_eq!(c.evaluate(&w), wmc(&f, &w));
+                prop_assert_eq!(c.evaluate(&w), wmc_brute_force(&f, &w));
             }
         }
 

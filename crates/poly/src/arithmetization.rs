@@ -6,70 +6,63 @@
 //! example the lineage `Y = (R ∨ S) ∧ (S ∨ T)` has arithmetization
 //! `y(r,s,t) = rt + s − rst`.
 //!
-//! Computed by Shannon expansion with component decomposition (components
-//! multiply) and memoization — the symbolic twin of the WMC engine.
+//! Computed by pricing the compiled circuit of `Y` over polynomials: the
+//! d-DNNF that [`gfomc_logic::Circuit::compile`] records evaluates in any
+//! commutative semiring, so `Poly` is one more [`Lane`] of the flat gate
+//! kernel, with each variable weighted by its own indeterminate. A
+//! decision gate's variable is absent from its cofactors and product
+//! children share no variables, so the result is multilinear and agrees
+//! with `Y` on `{0,1}ⁿ` — the arithmetization, whatever the branching
+//! order.
 
 use crate::poly::{PVar, Poly};
-use gfomc_arith::Rational;
-use gfomc_logic::{Cnf, Var};
-use std::collections::HashMap;
+use gfomc_logic::{Circuit, Cnf, Lane};
 
 /// Computes the arithmetization of a monotone CNF. Variable `Var(i)` of the
 /// formula becomes polynomial variable `PVar(i)`.
 pub fn arithmetize(f: &Cnf) -> Poly {
-    let mut memo = HashMap::new();
-    arith_rec(f, &mut memo)
+    let flat = Circuit::compile(f).flatten();
+    let weights: Vec<Poly> = flat.vars().iter().map(|v| Poly::var(PVar(v.0))).collect();
+    let mut values = Vec::new();
+    flat.forward(&weights, &mut values);
+    values.swap_remove(flat.root() as usize)
 }
 
-fn arith_rec(f: &Cnf, memo: &mut HashMap<Cnf, Poly>) -> Poly {
-    if f.is_true() {
-        return Poly::one();
-    }
-    if f.is_false() {
-        return Poly::zero();
-    }
-    if let Some(hit) = memo.get(f) {
-        return hit.clone();
-    }
-    let comps = f.components();
-    let result = if comps.len() > 1 {
-        let mut acc = Poly::one();
-        for c in comps {
-            acc = &acc * &arith_rec(&c, memo);
+/// Polynomials as a gate-kernel lane: a variable's weight is its own
+/// indeterminate, and a Product stops at its first zero factor.
+impl Lane for Poly {
+    type Weight = Poly;
+
+    fn constant(one: bool) -> Self {
+        if one {
+            Poly::one()
+        } else {
+            Poly::zero()
         }
-        acc
-    } else {
-        // Shannon expansion on the most frequent variable.
-        let v = f
-            .vars()
-            .into_iter()
-            .max_by_key(|&v| f.clauses().iter().filter(|c| c.contains(v)).count())
-            .expect("non-constant formula");
-        let x = Poly::var(PVar(v.0));
-        let one_minus_x = &Poly::one() - &x;
-        let hi = arith_rec(&f.restrict(v, true), memo);
-        let lo = arith_rec(&f.restrict(v, false), memo);
-        &(&x * &hi) + &(&one_minus_x * &lo)
-    };
-    memo.insert(f.clone(), result.clone());
-    result
-}
+    }
 
-/// Evaluates the arithmetization at a weight assignment — by definition this
-/// equals `Pr(f)`, giving an independent cross-check of the WMC engine.
-pub fn probability_via_arithmetization(f: &Cnf, weights: &HashMap<Var, Rational>) -> Rational {
-    let poly = arithmetize(f);
-    let values = weights
-        .iter()
-        .map(|(v, w)| (PVar(v.0), w.clone()))
-        .collect();
-    poly.eval(&values)
+    fn leaf(w: &Poly) -> Self {
+        w.clone()
+    }
+
+    fn times(&self, kid: &Self) -> Self {
+        self * kid
+    }
+
+    fn absorbing(&self) -> bool {
+        self.is_zero()
+    }
+
+    fn decide(w: &Poly, hi: &Self, lo: &Self) -> Self {
+        &(w * hi) + &(&(&Poly::one() - w) * lo)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfomc_logic::{wmc, Clause, UniformWeight};
+    use gfomc_arith::Rational;
+    use gfomc_logic::{wmc_brute_force, Clause, UniformWeight, Var};
 
     fn cl(vs: &[u32]) -> Clause {
         Clause::new(vs.iter().map(|&i| Var(i)))
@@ -123,7 +116,7 @@ mod tests {
         for f in &formulas {
             let w = UniformWeight(r(1, 3));
             let vals = f.vars().into_iter().map(|v| (PVar(v.0), r(1, 3))).collect();
-            assert_eq!(arithmetize(f).eval(&vals), wmc(f, &w), "{f:?}");
+            assert_eq!(arithmetize(f).eval(&vals), wmc_brute_force(f, &w), "{f:?}");
         }
     }
 

@@ -14,7 +14,7 @@
 pub mod arithmetization;
 pub mod poly;
 
-pub use arithmetization::{arithmetize, probability_via_arithmetization};
+pub use arithmetization::arithmetize;
 pub use poly::{det2, Monomial, PVar, Poly};
 
 #[cfg(test)]
@@ -102,8 +102,8 @@ mod proptests {
 
     mod arithmetization_props {
         use super::*;
-        use gfomc_logic::{wmc, Clause, Cnf, Var};
-        use std::collections::HashMap;
+        use gfomc_logic::{wmc_brute_force, Clause, Cnf, Var};
+        use std::collections::{BTreeSet, HashMap};
 
         fn arb_cnf() -> impl Strategy<Value = Cnf> {
             proptest::collection::vec(proptest::collection::btree_set(0u32..6, 1..4), 0..5)
@@ -126,14 +126,25 @@ mod proptests {
                     .enumerate()
                     .map(|(i, &w)| (Var(i as u32), Rational::from_ints(w, 3)))
                     .collect();
-                let direct = wmc(&f, &weights);
-                let via_poly = probability_via_arithmetization(&f, &weights);
-                prop_assert_eq!(direct, via_poly);
+                let point = weights.iter().map(|(v, w)| (PVar(v.0), w.clone())).collect();
+                prop_assert_eq!(arithmetize(&f).eval(&point), wmc_brute_force(&f, &weights));
             }
 
             #[test]
             fn arithmetization_multilinear(f in arb_cnf()) {
-                prop_assert!(arithmetize(&f).is_multilinear());
+                // Multilinear and equal to `f` on every point of {0,1}⁶:
+                // that pins the arithmetization uniquely (§1.6), whatever
+                // order the descent branched in.
+                let y = arithmetize(&f);
+                prop_assert!(y.is_multilinear());
+                for mask in 0u32..64 {
+                    let tv: BTreeSet<Var> = (0..6).filter(|i| mask >> i & 1 == 1).map(Var).collect();
+                    let point = (0..6)
+                        .map(|i| (PVar(i), Rational::from(i64::from(mask >> i & 1))))
+                        .collect();
+                    let expected = Rational::from(i64::from(f.eval(&tv)));
+                    prop_assert_eq!(y.eval(&point), expected);
+                }
             }
         }
     }

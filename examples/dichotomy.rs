@@ -83,11 +83,10 @@ fn main() {
         let db = uniform_db(&q_hard, n, n);
         let lin = lineage(&q_hard, &db);
         let t0 = Instant::now();
-        let weights = lin.vars.weights();
-        let mut counter = gfomc::logic::ModelCounter::new(weights);
-        let p = counter.probability(&lin.cnf);
+        let circuit = gfomc::logic::Circuit::compile(&lin.cnf);
+        let p = circuit.evaluate(lin.vars.weights());
         let dt = t0.elapsed();
-        println!("{:>6} {:>14?} {:>14}", n, dt, counter.branch_count);
+        println!("{:>6} {:>14?} {:>14}", n, dt, circuit.decision_count());
         assert!(p.is_probability());
     }
     println!("\nThe contrast above *is* the dichotomy: the safe query scales");
