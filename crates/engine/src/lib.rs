@@ -64,7 +64,7 @@ pub use session::{
 pub use gfomc_obs::{HistogramSnapshot, Registry, SlowLog, Trace};
 
 use gfomc_arith::Rational;
-use gfomc_logic::{Circuit, Cnf, CnfId, CnfInterner, EvalArena, FlatCircuit, WeightsFromFn};
+use gfomc_logic::{Circuit, Cnf, EvalArena, FlatCircuit, WeightsFromFn};
 use gfomc_obs::Counter;
 use gfomc_pool::WorkerPool;
 use gfomc_query::BipartiteQuery;
@@ -160,14 +160,12 @@ pub(crate) enum Admission {
     OverBudget(CircuitCostEstimate, Lineage),
 }
 
-/// One independently locked shard of the compilation cache: its slice of
-/// the interner plus its resident circuits. Lineages are assigned to
-/// shards by the hash of their canonical CNF, so the interner invariant
-/// (an id is live iff its circuit is resident) is local to the shard.
+/// One independently locked shard of the compilation cache: its
+/// resident circuits, keyed by canonical CNF. Lineages are assigned to
+/// shards by the hash of their canonical CNF.
 #[derive(Debug)]
 struct CacheShard {
-    interner: CnfInterner,
-    entries: HashMap<CnfId, CacheEntry>,
+    entries: HashMap<Cnf, CacheEntry>,
     capacity: usize,
 }
 
@@ -175,12 +173,12 @@ struct CacheShard {
 /// aggregate compilation statistics. **Thread-safe**: `Engine` is
 /// `Send + Sync` and every method takes `&self`, so one engine can be
 /// shared behind an `Arc` (or a plain reference) by any number of
-/// concurrent callers — the serving setup the router's batched front-end
-/// ([`Engine::evaluate_auto_batch`]) is built for.
+/// concurrent callers — `gfomc-serve` answers every connection thread
+/// from one engine.
 ///
 /// Each [`Engine::compile`] call produces a self-contained [`Compiled`]
 /// artifact. Circuits are cached in a **sharded, cost-aware LRU** keyed on
-/// interned canonical CNF ids ([`gfomc_logic::CnfInterner`]): two queries
+/// the canonical CNF ([`Cnf`]): two queries
 /// (or the same query over two TIDs) whose groundings canonicalize to the
 /// same lineage share one compilation — the second [`Engine::compile`] is
 /// a cache hit that only re-binds the tuple ↔ variable table. Cached
@@ -301,8 +299,8 @@ impl EngineBuilder {
         self
     }
 
-    /// A dedicated worker pool for the engine's parallel paths (sampling
-    /// rounds and [`Engine::evaluate_auto_batch`]).
+    /// A dedicated worker pool for the engine's parallel path: the
+    /// sampled route's rounds, fanned across [`Budget::threads`] workers.
     /// Defaults to the process-shared [`WorkerPool::global`].
     pub fn pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool = Some(pool);
@@ -362,7 +360,6 @@ impl EngineBuilder {
         let shards = (0..shard_count)
             .map(|i| {
                 Mutex::new(CacheShard {
-                    interner: CnfInterner::new(),
                     entries: HashMap::new(),
                     capacity: capacity / shard_count + usize::from(i < capacity % shard_count),
                 })
@@ -468,8 +465,7 @@ impl Engine {
     ) -> Admission {
         if self.cache_capacity > 0 {
             let mut shard = Engine::lock_shard(self.shard_of(&lin.cnf));
-            let resident = shard.interner.lookup(&lin.cnf);
-            if let Some(entry) = resident.and_then(|id| shard.entries.get_mut(&id)) {
+            if let Some(entry) = shard.entries.get_mut(&lin.cnf) {
                 if let Some(cost) = entry.estimate {
                     if !cost.within(max_cost) {
                         return Admission::OverBudget(cost, lin);
@@ -515,9 +511,9 @@ impl Engine {
     /// pathological lineage) unwinds while the shard is held, and letting
     /// that poison wedge every later query hashing to the shard would turn
     /// one bad query into a persistent denial of service for a shared
-    /// serving engine. Recovery is safe: the worst a mid-update unwind
-    /// leaves behind is an interned id with no resident entry, which the
-    /// next compile of that lineage simply fills in.
+    /// serving engine. Recovery is safe: a compile runs before its entry
+    /// is inserted, so an unwind leaves the lineage non-resident, and the
+    /// next compile of that lineage simply fills it in.
     fn lock_shard(shard: &Mutex<CacheShard>) -> std::sync::MutexGuard<'_, CacheShard> {
         shard
             .lock()
@@ -533,7 +529,7 @@ impl Engine {
         Arc::clone(&entry.circuit)
     }
 
-    /// The cache-aware compilation core: interns the canonical CNF in its
+    /// The cache-aware compilation core: looks the canonical CNF up in its
     /// shard and either returns the resident circuit or compiles, admits,
     /// and possibly evicts under the cost-aware policy. The flag is `true`
     /// iff the circuit was already resident (a cache hit). A budgeted
@@ -552,8 +548,7 @@ impl Engine {
             return (self.compile_fresh(cnf), false);
         }
         let mut shard = Engine::lock_shard(self.shard_of(cnf));
-        let id = shard.interner.intern(cnf);
-        if let Some(entry) = shard.entries.get_mut(&id) {
+        if let Some(entry) = shard.entries.get_mut(cnf) {
             entry.estimate = entry.estimate.or(estimate);
             return (self.touch(entry), true);
         }
@@ -567,7 +562,7 @@ impl Engine {
         let circuit = self.compile_fresh(cnf);
         let cost = circuit.gate_count() as u64;
         shard.entries.insert(
-            id,
+            cnf.clone(),
             CacheEntry {
                 circuit: Arc::clone(&circuit),
                 estimate,
@@ -578,20 +573,17 @@ impl Engine {
         if shard.entries.len() > shard.capacity {
             // Cost-aware eviction: linear scan for the minimum priority
             // (the cache is small and eviction is rare next to compile
-            // work). The interner forgets the victim too, so engine
-            // memory stays bounded by the cache capacity, not by every
-            // distinct lineage ever seen. When the newcomer itself is the
-            // minimum — its compile cost does not justify displacing any
-            // resident circuit — it is the one dropped: admission denied.
+            // work). When the newcomer itself is the minimum — its
+            // compile cost does not justify displacing any resident
+            // circuit — it is the one dropped: admission denied.
             let victim = shard
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.priority)
-                .map(|(id, _)| *id)
+                .map(|(key, _)| key.clone())
                 .expect("eviction scan over a non-empty shard");
             shard.entries.remove(&victim);
-            shard.interner.forget(victim);
-            if victim == id {
+            if victim == *cnf {
                 self.cache_rejections.inc();
             } else {
                 self.cache_evictions.inc();
@@ -1027,6 +1019,14 @@ mod tests {
         let after = engine.cache_stats();
         assert_eq!(after.hits, before.hits + 1, "giant must still be hot");
         assert_eq!(after.entries, 1);
+        // The rejected lineage left no trace: compiling it again is one
+        // more miss, and it loses the same duel (victim == newcomer).
+        engine.compile(&q, &small);
+        let again = engine.cache_stats();
+        assert_eq!(again.misses, after.misses + 1, "{again:?}");
+        assert_eq!(again.rejections, after.rejections + 1, "{again:?}");
+        assert_eq!(again.evictions, 0, "{again:?}");
+        assert_eq!(again.entries, 1);
         // An even costlier newcomer does displace it (cost dominates the
         // duel), so the cache is not wedged on its first giant forever.
         let bigger = uniform_tid(&q, 4, 4);
@@ -1034,6 +1034,34 @@ mod tests {
         let end = engine.cache_stats();
         assert_eq!(end.entries, 1);
         assert_eq!(end.evictions, 1, "{end:?}");
+    }
+
+    #[test]
+    fn canonically_equal_lineages_share_one_compilation() {
+        // h1 ∧ ∀x∀y (R(x) ∨ S1(x,y)) with every S1 tuple deterministic:
+        // an S1 tuple at 0 grounds the unit clause R(0), one at 1 grounds
+        // nothing. Two absent S1 tuples ground R(0) twice, one grounds it
+        // once; `Cnf::new` drops the duplicate (and the `R(0) ∨ S0(0,y)`
+        // clauses it subsumes), so the two lineages are equal only after
+        // canonicalization, and S1 never takes a variable.
+        let q = BipartiteQuery::new([
+            gfomc_query::Clause::left_i([0]),
+            gfomc_query::Clause::right_i([0]),
+            gfomc_query::Clause::left_i([1]),
+        ]);
+        let mut twice = uniform_tid(&q, 1, 2);
+        twice.set_prob(Tuple::S(1, 0, 100), Rational::zero());
+        twice.set_prob(Tuple::S(1, 0, 101), Rational::zero());
+        let mut once = twice.clone();
+        once.set_prob(Tuple::S(1, 0, 101), Rational::one());
+        assert_eq!(lineage(&q, &twice).cnf, lineage(&q, &once).cnf);
+        let engine = Engine::new();
+        let a = engine.compile(&q, &twice);
+        let b = engine.compile(&q, &once);
+        let stats = engine.cache_stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
+        assert_eq!(a.evaluate_db(), naive_probability(&q, &twice));
+        assert_eq!(b.evaluate_db(), naive_probability(&q, &once));
     }
 
     #[test]

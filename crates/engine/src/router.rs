@@ -10,7 +10,7 @@
 //!    ([`Engine::compile`]) — still exact; the refined Shannon cost
 //!    bound ([`gfomc_safety::circuit_cost_estimate`]) must fit the
 //!    budget. Routing is **cache first**: the grounded lineage is looked
-//!    up in the engine's compilation cache (LRU on interned canonical
+//!    up in the engine's compilation cache (LRU keyed on canonical
 //!    lineages) before anything is estimated. The estimate is computed
 //!    once per resident lineage and stored with its circuit, so a
 //!    repeated query skips both the estimate and the compile and only
@@ -30,9 +30,8 @@
 //! so callers can never mistake an estimate for an exact probability, and
 //! carries the [`Route`] taken plus the cost estimate that justified it.
 //!
-//! Both entry points take `&self`: one shared engine serves concurrent
-//! callers, and [`Engine::evaluate_auto_batch`] fans a whole batch of
-//! routed queries across the pool with a shared compilation cache.
+//! Both entry points take `&self`: one shared engine serves any number of
+//! concurrent callers, all sharing its compilation cache.
 
 use crate::{Admission, Engine};
 use gfomc_approx::{AdaptiveConfig, CnfSampler, ConfidenceInterval, Estimate};
@@ -43,8 +42,6 @@ use gfomc_query::BipartiteQuery;
 use gfomc_safety::{is_safe, lifted_probability, CircuitCostEstimate};
 use gfomc_tid::{lineage, Lineage, Tid};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 thread_local! {
@@ -413,14 +410,9 @@ impl Engine {
         budget: &Budget,
     ) -> Result<Routed, BudgetError> {
         budget.validate()?;
-        Ok(self.evaluate_auto_validated(q, tid, budget))
-    }
-
-    /// The routing core, entered only with a validated budget. The phase
-    /// trace it records is discarded here; the request front door
-    /// ([`Engine::evaluate_request`](crate::api)) keeps it.
-    fn evaluate_auto_validated(&self, q: &BipartiteQuery, tid: &Tid, budget: &Budget) -> Routed {
-        self.evaluate_auto_core(q, tid, budget, &mut Trace::new())
+        // The phase trace is discarded here; the request front door
+        // (`Engine::evaluate_request`) keeps it.
+        Ok(self.evaluate_auto_core(q, tid, budget, &mut Trace::new()))
     }
 
     /// The traced routing core: routes exactly as
@@ -555,81 +547,6 @@ impl Engine {
             }
         }
     }
-
-    /// The concurrent serving front-end: routes every query of `queries`
-    /// through [`Engine::evaluate_auto`], fanned across up to
-    /// [`Budget::threads`] workers of the engine's shared pool. All
-    /// workers share this engine's compilation cache, so duplicate
-    /// lineages inside one batch compile once.
-    ///
-    /// Output order matches input order, and every element is
-    /// **bit-identical** to a serial loop of [`Engine::evaluate_auto`]
-    /// calls with the same budget: the exact routes are deterministic,
-    /// and the sampled route's chunk-seeded plan is thread-count
-    /// invariant. Only the route/cache *counters* may interleave
-    /// differently; their totals agree.
-    pub fn evaluate_auto_batch(
-        &self,
-        queries: &[(BipartiteQuery, Tid)],
-        budget: &Budget,
-    ) -> Vec<Routed> {
-        self.try_evaluate_auto_batch(queries, budget)
-            .unwrap_or_else(|e| panic!("invalid budget: {e}"))
-    }
-
-    /// The fallible form of [`Engine::evaluate_auto_batch`]: the budget is
-    /// validated once, up front, so a malformed one rejects the whole
-    /// batch before any work is fanned out.
-    pub fn try_evaluate_auto_batch(
-        &self,
-        queries: &[(BipartiteQuery, Tid)],
-        budget: &Budget,
-    ) -> Result<Vec<Routed>, BudgetError> {
-        budget.validate()?;
-        let workers = budget.threads.max(1).min(queries.len().max(1));
-        if workers <= 1 {
-            return Ok(queries
-                .iter()
-                .map(|(q, tid)| self.evaluate_auto_validated(q, tid, budget))
-                .collect());
-        }
-        // Queries are the unit of parallelism here, so each one samples
-        // serially — oversubscribing the pool with nested fan-out buys
-        // nothing once every worker is busy.
-        let per_query = Budget {
-            threads: 1,
-            ..budget.clone()
-        };
-        let cursor = AtomicUsize::new(0);
-        let mut out: Vec<Option<Routed>> = vec![None; queries.len()];
-        let slots = Mutex::new(&mut out);
-        self.pool().scope(|scope| {
-            for _ in 0..workers {
-                let cursor = &cursor;
-                let slots = &slots;
-                let per_query = &per_query;
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, Routed)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= queries.len() {
-                            break;
-                        }
-                        let (q, tid) = &queries[i];
-                        local.push((i, self.evaluate_auto_validated(q, tid, per_query)));
-                    }
-                    let mut slots = slots.lock().expect("batch output lock");
-                    for (i, routed) in local {
-                        slots[i] = Some(routed);
-                    }
-                });
-            }
-        });
-        Ok(out
-            .into_iter()
-            .map(|r| r.expect("every query routed"))
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -763,10 +680,6 @@ mod tests {
         let tid = random_block_tid(&mut rng, &q, 2, 2);
         assert!(matches!(
             engine.try_evaluate_auto(&q, &tid, &bad),
-            Err(BudgetError::Delta(_))
-        ));
-        assert!(matches!(
-            engine.try_evaluate_auto_batch(std::slice::from_ref(&(q.clone(), tid.clone())), &bad),
             Err(BudgetError::Delta(_))
         ));
         // The valid default budget agrees bit-for-bit with the infallible

@@ -4,8 +4,8 @@
 //! [`Compiled`] is stateless — every [`Compiled::evaluate`] call prices
 //! the whole circuit from a weight assignment and discards the interior.
 //! A [`Session`] keeps the interior: it wraps one
-//! [`PricedCircuit`] (persisted per-gate exact values *and* certified
-//! intervals) plus the tuple ↔ variable table of the grounding, so
+//! [`PricedCircuit`] (persisted per-gate exact values) plus the
+//! tuple ↔ variable table of the grounding, so
 //! repeated interactions with one compiled query pay only for what
 //! actually changed:
 //!
@@ -69,7 +69,7 @@ use crate::router::BudgetError;
 use crate::{
     Admission, Compiled, Engine, EvalRequest, RequestParseError, ResponseParseError, TupleWeights,
 };
-use gfomc_arith::{Interval, Rational};
+use gfomc_arith::Rational;
 use gfomc_logic::{PricedCircuit, UpdateStats};
 use gfomc_obs::Trace;
 use gfomc_tid::{lineage, Tuple, VarTable};
@@ -114,6 +114,10 @@ pub enum SessionError {
         /// The request's `max_circuit_cost` ceiling.
         cap: u64,
     },
+    /// An earlier operation panicked while holding the session, so its
+    /// priced state may be half updated. The session was closed (its
+    /// tenant-cap charge refunded) instead of being served again.
+    Poisoned(u64),
 }
 
 impl fmt::Display for SessionError {
@@ -133,6 +137,12 @@ impl fmt::Display for SessionError {
                 write!(
                     f,
                     "estimated circuit cost {estimated} exceeds the session budget {cap}"
+                )
+            }
+            SessionError::Poisoned(id) => {
+                write!(
+                    f,
+                    "session {id} closed: an earlier operation on it panicked"
                 )
             }
         }
@@ -236,11 +246,6 @@ impl Session {
     /// `Pr(Q)` under the current weights — a read of the persisted root.
     pub fn value(&self) -> Rational {
         self.priced.value()
-    }
-
-    /// The certified interval enclosure of the root.
-    pub fn interval(&self) -> Interval {
-        self.priced.interval()
     }
 
     /// Gate count of the underlying circuit (the `of` denominator in
@@ -410,6 +415,12 @@ impl Engine {
     }
 
     /// Runs `f` on the session `id`, holding only that session's lock.
+    ///
+    /// A session whose lock was poisoned (an earlier `f` panicked while
+    /// holding it, e.g. in the middle of an update) may hold a half
+    /// re-priced circuit, so it is never served again: it is closed —
+    /// refunding its tenant-cap charge — and the call answers
+    /// [`SessionError::Poisoned`].
     pub fn with_session<R>(
         &self,
         id: u64,
@@ -420,7 +431,12 @@ impl Engine {
             .get(&id)
             .map(|s| Arc::clone(&s.inner))
             .ok_or(SessionError::UnknownSession(id))?;
-        let mut session = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let Ok(mut session) = slot.lock() else {
+            // A racing caller may have closed it already; either way it
+            // is gone, and the close is counted once.
+            let _ = self.close_session(id);
+            return Err(SessionError::Poisoned(id));
+        };
         Ok(f(&mut session))
     }
 

@@ -7,9 +7,9 @@
 //!   workload (safe / compiled / sampled) through one `Engine` produces
 //!   results bit-identical to a serial pass over the same workload, and
 //!   the route/cache counters add up to the serial totals;
-//! * **batched front-end** — `evaluate_auto_batch` returns, in input
-//!   order, exactly what a serial `evaluate_auto` loop returns, for every
-//!   worker count;
+//! * **one compilation per lineage** — concurrent callers of the same
+//!   lineage serialize on its cache shard, so exactly one compiles and
+//!   every other caller hits;
 //! * **capacity bound under concurrency** — `cache_stats().entries`
 //!   never exceeds the configured capacity, no matter how many threads
 //!   compile and evict concurrently (the sharded cost-aware LRU splits
@@ -138,47 +138,46 @@ fn hammered_shared_engine_is_bit_identical_to_serial() {
 }
 
 #[test]
-fn auto_batch_matches_serial_loop_in_order() {
-    let workload = mixed_workload(0xD00D, 10);
-    for threads in [1usize, 2, 4, 16] {
-        let budget = Budget::default().with_threads(threads);
-        let expected = serial_reference(&workload, &budget);
-        let engine = Engine::new();
-        let got = engine.evaluate_auto_batch(&workload, &budget);
-        assert_eq!(got, expected, "threads={threads}");
-        let counts = engine.route_counts();
-        assert_eq!(
-            counts.lifted + counts.compiled + counts.sampled,
-            workload.len()
-        );
-    }
-}
-
-#[test]
 fn auto_batch_shares_the_cache_across_workers() {
-    // The same unsafe query repeated: whatever worker gets there first
-    // compiles, everyone else hits.
+    // The same unsafe query from 4 threads at once, 3 calls each:
+    // whichever call takes the shard lock first compiles, and every other
+    // call waits on that lock and hits.
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 3;
     let mut rng = StdRng::seed_from_u64(42);
     let q = random_query(&mut rng, 2, 2, SafetyTarget::Unsafe);
     let tid = random_block_tid(&mut rng, &q, 2, 2);
-    let batch: Vec<_> = (0..12).map(|_| (q.clone(), tid.clone())).collect();
     let engine = Engine::new();
-    let budget = Budget::default().with_threads(4);
-    let results = engine.evaluate_auto_batch(&batch, &budget);
+    let budget = Budget::default();
+    let results: Vec<Routed> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    (0..PER_THREAD)
+                        .map(|_| engine.evaluate_auto(&q, &tid, &budget))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("worker panicked"))
+            .collect()
+    });
     assert!(results.windows(2).all(|w| w[0] == w[1]));
+    let n = THREADS * PER_THREAD;
     let stats = engine.cache_stats();
     assert_eq!(
         stats.misses, 1,
-        "one compilation serves the whole batch: {stats:?}"
+        "one compilation serves every caller: {stats:?}"
     );
-    assert_eq!(stats.hits, batch.len() - 1, "{stats:?}");
+    assert_eq!(stats.hits, n - 1, "{stats:?}");
 }
 
 #[test]
 fn zero_thread_budget_literal_is_normalized_at_the_point_of_use() {
-    // A struct literal bypasses `with_threads`' clamp; the router (and the
-    // batch front-end) must normalize it rather than hand a zero to the
-    // pool.
+    // A struct literal bypasses `with_threads`' clamp; the router must
+    // normalize it rather than hand a zero to the pool.
     let budget = Budget {
         threads: 0,
         ..Budget::default()
@@ -189,7 +188,6 @@ fn zero_thread_budget_literal_is_normalized_at_the_point_of_use() {
     for ((q, tid), expect) in workload.iter().zip(&serial) {
         assert_eq!(&engine.evaluate_auto(q, tid, &budget), expect);
     }
-    assert_eq!(engine.evaluate_auto_batch(&workload, &budget), serial);
     // Sampled route with a zeroed thread count: must not panic either.
     let sampled = Budget {
         threads: 0,

@@ -300,6 +300,43 @@ fn tenant_cap_charges_and_refunds() {
     engine.open_session(&acme).unwrap();
 }
 
+/// A panic while a session is held (here: right after an update, before
+/// the caller's closure returns) poisons it. The next operation closes
+/// the session instead of serving its possibly half re-priced state: it
+/// answers `Poisoned`, refunds the tenant-cap charge, and counts a close.
+#[test]
+fn poisoned_session_is_closed_not_reused() {
+    let engine = Engine::builder().max_sessions_per_tenant(1).build();
+    let acme = small_request().with_tenant("acme");
+    let id = engine.open_session(&acme).unwrap();
+    let open = engine.session_count();
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine.with_session(id, |s| {
+            s.update(Tuple::R(0), r(1, 3)).unwrap();
+            panic!("injected failure mid-operation");
+        })
+    }));
+    assert!(panicked.is_err());
+    assert_eq!(engine.session_count(), open, "a panic alone closes nothing");
+    assert_eq!(
+        engine.with_session(id, |s| s.value()),
+        Err(SessionError::Poisoned(id))
+    );
+    assert_eq!(engine.session_count(), open - 1);
+    assert_eq!(
+        engine
+            .registry()
+            .counter_value("engine_sessions_closed_total", &[]),
+        1
+    );
+    // The session is gone for good, and its cap slot is free again.
+    assert_eq!(
+        engine.with_session(id, |s| s.value()),
+        Err(SessionError::UnknownSession(id))
+    );
+    engine.open_session(&acme).unwrap();
+}
+
 /// Update and explain latencies land in the observability registry, and
 /// the session gauge tracks the open count.
 #[test]

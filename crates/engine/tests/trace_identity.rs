@@ -9,9 +9,7 @@
 //!   of a fresh engine, and the parsed values agree field-for-field;
 //! * **concurrent hammer** — 8 OS threads driving traced requests
 //!   through one fully instrumented engine (zero slow-log threshold, so
-//!   every request is recorded) still produce bit-identical results;
-//! * **batch parity** — `evaluate_auto_batch` on an instrumented engine
-//!   is byte-identical to the serial loop on a telemetry-default engine.
+//!   every request is recorded) still produce bit-identical results.
 
 use gfomc_engine::workload::{random_block_tid, random_query, SafetyTarget};
 use gfomc_engine::{Budget, Engine, EvalRequest, Routed};
@@ -139,25 +137,4 @@ fn concurrent_traced_hammer_is_bit_identical_to_serial() {
         .map(|(_, snap)| snap.count)
         .sum();
     assert_eq!(total, n);
-}
-
-#[test]
-fn instrumented_batch_matches_plain_serial_loop() {
-    let workload = mixed_workload(0xBA7C4, 10);
-    let budget = tight_budget().with_threads(4);
-    let plain = Engine::new();
-    let serial: Vec<Routed> = workload
-        .iter()
-        .map(|(q, tid)| plain.evaluate_auto(q, tid, &budget))
-        .collect();
-    let instrumented = Engine::builder()
-        .slow_threshold_nanos(0)
-        .slow_capacity(32)
-        .build();
-    let batch = instrumented.evaluate_auto_batch(&workload, &budget);
-    assert_eq!(batch, serial);
-    // Byte identity of the wire forms, not just structural equality.
-    for (b, s) in batch.iter().zip(&serial) {
-        assert_eq!(b.to_string(), s.to_string());
-    }
 }

@@ -10,17 +10,16 @@
 //! * **Incremental re-pricing.** A d-DNNF-style circuit is a DAG, so a
 //!   change to one variable's weight can only move the values of that
 //!   variable's gates and their ancestors. [`PricedCircuit`] persists
-//!   one exact hybrid lane ([`Rational`]-backed) *and* one certified
-//!   [`Interval`] per gate, plus a reverse topology (parent lists
-//!   mirroring the packed `children` vector), and
+//!   one exact hybrid lane ([`Rational`]-backed) per gate, plus a reverse
+//!   topology (parent lists mirroring the packed `children` vector), and
 //!   [`PricedCircuit::update_weight`] re-prices only the dirty cone —
 //!   ascending gate order via a min-heap, so every gate is recomputed at
 //!   most once per update and only after all its changed children.
 //!   Values are **bit-identical** to a fresh full evaluation by
 //!   construction: a re-priced gate goes through the very gate kernel the
-//!   forward pass runs (one call per lane over the persisted children),
-//!   and propagation stops only where *both* the exact lane and the
-//!   interval are unchanged. When the dirty frontier grows past half the
+//!   forward pass runs (over the persisted children), and propagation
+//!   stops only where the exact lane, hybrid tag included, is unchanged.
+//!   When the dirty frontier grows past half the
 //!   circuit the update abandons the heap and falls back to the plain
 //!   full pass — same values, better constant.
 //!
@@ -43,7 +42,7 @@
 
 use crate::cnf::Var;
 use crate::flat::{FlatCircuit, LaneVal, Op, ReverseTopology, SlotW, NO_SLOT};
-use gfomc_arith::{Interval, Rational};
+use gfomc_arith::Rational;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -72,8 +71,8 @@ fn lane_eq(a: &LaneVal, b: &LaneVal) -> bool {
     }
 }
 
-/// A [`FlatCircuit`] with its valuation held live: per-gate exact lanes
-/// and certified intervals, current per-slot weights, a reverse
+/// A [`FlatCircuit`] with its valuation held live: per-gate exact lanes,
+/// current per-slot weights, a reverse
 /// topology for dirty-path propagation, and a slot→gates index seeding
 /// each update. See the module docs for the two workloads this serves.
 #[derive(Clone, Debug)]
@@ -88,12 +87,8 @@ pub struct PricedCircuit {
     slot_of: HashMap<Var, u32>,
     /// Current weights, resolved per slot (weight + complement + word forms).
     slots: Vec<SlotW>,
-    /// Current weights as outward-rounded intervals, per slot.
-    slot_ivs: Vec<Interval>,
     /// The persisted upward pass: one exact hybrid lane per gate.
     cells: Vec<LaneVal>,
-    /// The persisted interval pass: one certified enclosure per gate.
-    ivs: Vec<Interval>,
     /// Min-heap of dirty gate ids (scratch, kept to reuse the allocation).
     dirty: BinaryHeap<Reverse<u32>>,
     /// Membership mask for `dirty` (a gate is pushed at most once).
@@ -103,8 +98,7 @@ pub struct PricedCircuit {
 impl PricedCircuit {
     /// Prices `circuit` under `weights` (slot order, one probability per
     /// distinct variable of [`FlatCircuit::vars`]) and persists the full
-    /// valuation. Cost: one exact pass + one interval pass + one
-    /// reverse-topology build.
+    /// valuation. Cost: one exact pass + one reverse-topology build.
     ///
     /// # Panics
     /// If `weights.len()` differs from the distinct-variable count or
@@ -122,11 +116,8 @@ impl PricedCircuit {
                 SlotW::new(p.clone())
             })
             .collect();
-        let slot_ivs: Vec<Interval> = weights.iter().map(Interval::from_probability).collect();
         let mut cells = Vec::new();
         circuit.forward(&slots, &mut cells);
-        let mut ivs = Vec::new();
-        circuit.forward(&slot_ivs, &mut ivs);
         let rev = circuit.reverse_topology();
         let n = circuit.gate_count();
         let nslots = circuit.vars().len();
@@ -166,9 +157,7 @@ impl PricedCircuit {
             slot_gates,
             slot_of,
             slots,
-            slot_ivs,
             cells,
-            ivs,
             dirty: BinaryHeap::new(),
             dirty_mark: vec![false; n],
             circuit,
@@ -206,33 +195,9 @@ impl PricedCircuit {
         self.cells[self.circuit.root() as usize].to_rational()
     }
 
-    /// The certified enclosure of the root under the current weights.
-    pub fn interval(&self) -> Interval {
-        self.ivs[self.circuit.root() as usize]
-    }
-
     /// Exact value of an arbitrary gate under the current weights.
     pub fn gate_value(&self, gate: u32) -> Rational {
         self.cells[gate as usize].to_rational()
-    }
-
-    /// Re-prices one gate from its children's *persisted* values: one
-    /// call of the forward pass's gate kernel per lane, so a re-priced gate
-    /// is bit-identical (hybrid tags included) to the same gate of a fresh
-    /// forward pass over the same children.
-    fn reprice_gate(&self, gi: usize) -> (LaneVal, Interval) {
-        let c = &*self.circuit;
-        (
-            c.price(gi, &self.slots, |k| &self.cells[k as usize]),
-            c.price(gi, &self.slot_ivs, |k| &self.ivs[k as usize]),
-        )
-    }
-
-    /// Abandons incrementality: re-prices every gate with the plain full
-    /// passes (used when the dirty frontier exceeds the threshold).
-    fn reprice_full(&mut self) {
-        self.circuit.forward(&self.slots, &mut self.cells);
-        self.circuit.forward(&self.slot_ivs, &mut self.ivs);
     }
 
     /// Sets slot `slot`'s weight to `p` and re-prices the dirty cone.
@@ -240,14 +205,11 @@ impl PricedCircuit {
     /// Only ancestors of the slot's gates are visited, in ascending gate
     /// id (children strictly before parents, so each gate is recomputed
     /// at most once, after all its changed inputs). A gate whose exact
-    /// lane **and** interval both come out unchanged stops propagation —
-    /// both are compared because the interval can move when the exact
-    /// value does not (a decision whose branches are equal still folds
-    /// the new weight into its enclosure). If more than half the circuit
-    /// goes dirty the update falls back to a plain full pass. Either
-    /// way the persisted state afterwards is bit-identical (exact lanes,
-    /// hybrid tags, and intervals) to a fresh [`PricedCircuit::new`]
-    /// under the updated weights.
+    /// lane comes out unchanged (same value *and* same hybrid tag) stops
+    /// propagation. If more than half the circuit goes dirty the update
+    /// falls back to a plain full pass. Either way the persisted state
+    /// afterwards is bit-identical (exact lanes and hybrid tags) to a
+    /// fresh [`PricedCircuit::new`] under the updated weights.
     ///
     /// # Panics
     /// If `slot` is out of range or `p` is outside `[0, 1]`.
@@ -255,13 +217,12 @@ impl PricedCircuit {
         assert!(p.is_probability(), "weight out of [0,1]: {p}");
         let si = slot as usize;
         if self.slots[si].p == p {
-            // Same exact weight ⇒ same interval ⇒ nothing can move.
+            // Same exact weight ⇒ nothing can move.
             return UpdateStats {
                 repriced: 0,
                 full_pass: false,
             };
         }
-        self.slot_ivs[si] = Interval::from_probability(&p);
         self.slots[si] = SlotW::new(p);
         let n = self.circuit.gate_count();
         let threshold = (n / 2).max(1);
@@ -284,17 +245,21 @@ impl PricedCircuit {
                 while let Some(Reverse(h)) = self.dirty.pop() {
                     self.dirty_mark[h as usize] = false;
                 }
-                self.reprice_full();
+                self.circuit.forward(&self.slots, &mut self.cells);
                 return UpdateStats {
                     repriced: n,
                     full_pass: true,
                 };
             }
-            let (lane, iv) = self.reprice_gate(gi);
+            // The forward pass's own gate kernel over the persisted
+            // children: bit-identical (hybrid tags included) to the same
+            // gate of a fresh forward pass.
+            let lane = self
+                .circuit
+                .price(gi, &self.slots, |k| &self.cells[k as usize]);
             repriced += 1;
-            let changed = !lane_eq(&lane, &self.cells[gi]) || iv != self.ivs[gi];
+            let changed = !lane_eq(&lane, &self.cells[gi]);
             self.cells[gi] = lane;
-            self.ivs[gi] = iv;
             if changed {
                 for &par in self.rev.parents(g) {
                     let pi = par as usize;
@@ -411,7 +376,6 @@ mod tests {
         let w = UniformWeight(r(1, 3));
         let pc = priced(&f, r(1, 3));
         assert_eq!(pc.value(), flat.eval_exact(&w));
-        assert_eq!(pc.interval(), flat.eval_interval(&w));
     }
 
     #[test]
@@ -449,7 +413,6 @@ mod tests {
             weights[slot as usize] = p;
             let fresh = PricedCircuit::new(flat.clone(), &weights);
             assert_eq!(pc.value(), fresh.value());
-            assert_eq!(pc.interval(), fresh.interval());
             for g in 0..flat.gate_count() as u32 {
                 assert_eq!(pc.gate_value(g), fresh.gate_value(g), "gate {g}");
             }

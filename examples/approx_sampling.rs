@@ -165,7 +165,7 @@ fn main() {
     // ------------------------------------------------------------------
     // 7. The compilation cache: asking the engine the same (compilable)
     //    query again skips compilation entirely — the canonical lineage
-    //    is interned and the circuit comes back as a cache hit.
+    //    is the cache key and the circuit comes back as a cache hit.
     // ------------------------------------------------------------------
     let again = engine.evaluate_auto(&h1, &small, &budget);
     assert_eq!(again.result, AutoResult::Exact(probability(&h1, &small)));

@@ -3,15 +3,16 @@
 //! `Engine` is `Send + Sync` with every method on `&self`, so a single
 //! engine — one compilation cache, one route ledger, one worker pool —
 //! can sit behind a server and answer queries from as many threads as the
-//! hardware offers. This example demonstrates the three pieces the
+//! hardware offers — `gfomc-serve` answers every connection thread from
+//! one engine this way. This example demonstrates the two guarantees the
 //! "Concurrency & serving" README section describes:
 //!
-//! 1. concurrent callers sharing one cache (the second thread to ask for
-//!    a lineage gets the first thread's circuit);
-//! 2. the batched front-end `evaluate_auto_batch`, which fans a mixed
-//!    batch of routed queries across the engine's pool;
-//! 3. the determinism guarantee: whatever the thread count, results are
-//!    bit-identical to a serial run at the same seeds.
+//! 1. concurrent callers share one cache (the second thread to ask for a
+//!    lineage gets the first thread's circuit) and answer bit-identically
+//!    to a serial run;
+//! 2. determinism across thread counts: the sampled route fans its rounds
+//!    across the engine's pool, and its seeded estimate is the same
+//!    whatever `Budget::threads` says.
 
 use gfomc_engine::workload::{random_block_tid, random_query, SafetyTarget};
 use gfomc_engine::{Budget, Engine};
@@ -73,20 +74,18 @@ fn main() {
         "concurrent repeats of one lineage share a single compilation"
     );
 
-    // (2) + (3) The batched serving front-end: same results, same order,
-    // for every worker count.
-    let engine = Engine::new();
-    let batched = engine.evaluate_auto_batch(&workload, &budget);
-    assert_eq!(batched, reference, "batch ≡ serial, bit for bit");
-    println!(
-        "evaluate_auto_batch({} queries, 4 workers): bit-identical to the serial loop",
-        workload.len()
-    );
-    for (i, routed) in batched.iter().enumerate().take(3) {
+    // (2) A zero circuit budget sends every unsafe query to the sampler,
+    // whose seeded estimate does not depend on the worker count.
+    let sampled = Budget::default().with_max_circuit_cost(0);
+    println!("1 vs 4 sampler threads: bit-identical results");
+    for (i, (q, tid)) in workload.iter().enumerate().take(3) {
+        let one = shared.evaluate_auto(q, tid, &sampled.clone().with_threads(1));
+        let four = shared.evaluate_auto(q, tid, &sampled.clone().with_threads(4));
+        assert_eq!(one, four, "the thread count never changes a result");
         println!(
             "  query {i}: route {:?}, Pr = {}",
-            routed.route,
-            routed.result.point()
+            four.route,
+            four.result.point()
         );
     }
 }
