@@ -11,12 +11,7 @@
 //!   ops run in `i128`/`u128` registers and spill to bignum on overflow,
 //!   bit-identically;
 //! * [`QuadExt`] — elements of a real quadratic field `Q(√d)`, used for the
-//!   exact eigenvalue computations of the paper's transfer matrices;
-//! * [`Interval`] — outward-rounded `f64` enclosures of exact rationals,
-//!   the certified fast path of interval-first circuit evaluation: any
-//!   comparison the interval decides ([`Certifies::Proven`]) is decided
-//!   correctly, and only [`Certifies::Unknown`] escalates to exact
-//!   arithmetic.
+//!   exact eigenvalue computations of the paper's transfer matrices.
 //!
 //! All query probabilities in a tuple-independent database with rational tuple
 //! probabilities are rational, and the hardness reductions of Kenig & Suciu
@@ -25,14 +20,12 @@
 //! floating point appears only in human-facing reporting.
 
 pub mod integer;
-pub mod interval;
 pub mod natural;
 pub mod quadratic;
 pub mod rat64;
 pub mod rational;
 
 pub use integer::{Integer, Sign};
-pub use interval::{Certifies, Interval};
 pub use natural::Natural;
 pub use quadratic::QuadExt;
 pub use rat64::{small_path_thread_stats, Rat64};

@@ -675,8 +675,8 @@ impl Engine {
     }
 
     /// Publishes the point-in-time state the counters cannot carry —
-    /// cache occupancy, worker-pool counters, and the process-wide
-    /// sampler / interval-fallback tallies — as registry gauges. Called
+    /// cache occupancy, worker-pool counters, the open-session count and
+    /// the process-wide sampler tally — as registry gauges. Called
     /// by the serving layer just before rendering `/metrics` or
     /// `/status`, so scrapes see fresh values without the engine paying
     /// for gauge upkeep on the request path.
@@ -697,11 +697,6 @@ impl Engine {
             "sampler_samples_drawn",
             &[],
             gfomc_approx::samples_drawn_total(),
-        );
-        self.registry.set_gauge(
-            "flat_interval_fallbacks",
-            &[],
-            gfomc_logic::interval_fallbacks_total(),
         );
         self.registry
             .set_gauge("engine_sessions_open", &[], self.session_count() as u64);
@@ -756,11 +751,9 @@ pub fn probability(q: &BipartiteQuery, tid: &Tid) -> Rational {
 ///
 /// The circuit is held in struct-of-arrays form ([`FlatCircuit`]), so
 /// every evaluation is one forward loop over dense slices with weights
-/// resolved once per distinct tuple — and a threshold comparison
-/// ([`Compiled::certify_le_db`]) is answered by the certified interval
-/// pass whenever its enclosure decides it. All `Rational`-returning
-/// methods stay bit-identical to the tree evaluator (the flat exact pass
-/// replays the same gate arithmetic).
+/// resolved once per distinct tuple. Every method stays bit-identical to
+/// the tree evaluator (the flat exact pass replays the same gate
+/// arithmetic).
 ///
 /// Deterministic tuples (probability 0 or 1 in the source TID) were folded
 /// away during grounding, so the circuit's variables are exactly the
@@ -783,16 +776,6 @@ impl Compiled {
     /// [`Compiled::evaluate_db`] with a caller-provided values arena.
     pub fn evaluate_db_with(&self, arena: &mut EvalArena) -> Rational {
         self.circuit.eval_exact_with(self.vars.weights(), arena)
-    }
-
-    /// Decides `Pr ≤ t` under the database weights: interval fast path
-    /// first, escalating to exact evaluation only when the enclosure
-    /// cannot certify the comparison. Returns `(answer,
-    /// fell_back_to_exact)`; the answer always agrees with comparing
-    /// [`Compiled::evaluate_db`] against `t` exactly.
-    pub fn certify_le_db(&self, t: &Rational) -> (bool, bool) {
-        let mut arena = EvalArena::new();
-        self.circuit.le_exact(self.vars.weights(), t, &mut arena)
     }
 
     /// Evaluates the circuit under `weights`: each uncertain tuple takes

@@ -165,13 +165,11 @@ pub struct Budget {
     /// changes the estimate — only the wall-clock.
     pub threads: usize,
     /// Optional certification threshold: when set, the exact routes
-    /// answer the **decision** `Pr ≤ t?` instead of materializing the
-    /// probability — the compiled route decides it on the interval lane
-    /// first ([`crate::Compiled::certify_le_db`]), escalating to exact
-    /// arithmetic only when the enclosure straddles `t`, and the result
-    /// comes back as [`AutoResult::Certified`]. The sampled route ignores
-    /// the threshold (a sampler cannot *certify* a comparison) and
-    /// returns its usual estimate.
+    /// answer the **decision** `Pr ≤ t?` instead of the probability — the
+    /// exact value they compute anyway, compared against `t`, comes back
+    /// as [`AutoResult::Certified`]. The sampled route ignores the
+    /// threshold (a sampler cannot *certify* a comparison) and returns
+    /// its usual estimate.
     pub threshold: Option<Rational>,
 }
 
@@ -301,11 +299,9 @@ pub enum AutoResult {
         samples: u64,
     },
     /// A certified decision `Pr ≤ threshold` from a threshold-carrying
-    /// budget ([`Budget::with_threshold`]) on an exact route. The verdict
-    /// always agrees with comparing the exact probability against the
-    /// threshold, but the probability itself may never have been
-    /// materialized — the compiled route answers on the interval lane
-    /// whenever the enclosure decides.
+    /// budget ([`Budget::with_threshold`]) on an exact route: the exact
+    /// probability compared against the threshold. The probability
+    /// itself is not part of the answer.
     Certified {
         /// `true` iff `Pr ≤ threshold`.
         le: bool,
@@ -316,7 +312,7 @@ pub enum AutoResult {
 
 impl AutoResult {
     /// The point value: the exact probability, the sampler estimate, or —
-    /// for a certified verdict, which never materializes the probability —
+    /// for a certified verdict, which does not carry the probability —
     /// the threshold the verdict compares against.
     pub fn point(&self) -> &Rational {
         match self {
@@ -330,6 +326,19 @@ impl AutoResult {
     /// bit always agrees with the exact comparison).
     pub fn is_exact(&self) -> bool {
         matches!(self, AutoResult::Exact(_) | AutoResult::Certified { .. })
+    }
+}
+
+/// The answer of an exact route (lifted or compiled) for the exact
+/// probability `p`: `p` itself, or its comparison against the budget's
+/// threshold.
+fn exact_answer(p: Rational, budget: &Budget) -> AutoResult {
+    match &budget.threshold {
+        Some(t) => AutoResult::Certified {
+            le: &p <= t,
+            threshold: t.clone(),
+        },
+        None => AutoResult::Exact(p),
     }
 }
 
@@ -442,17 +451,8 @@ impl Engine {
             span(tr, "evaluate");
             tr.route = Some(Route::Lifted.to_string());
             self.count_route(Route::Lifted);
-            // The lifted evaluator materializes the exact probability
-            // anyway, so a threshold verdict here is a plain comparison.
-            let result = match &budget.threshold {
-                Some(t) => AutoResult::Certified {
-                    le: &p <= t,
-                    threshold: t.clone(),
-                },
-                None => AutoResult::Exact(p),
-            };
             return Routed {
-                result,
+                result: exact_answer(p, budget),
                 route: Route::Lifted,
                 cost: None,
                 trace: None,
@@ -494,27 +494,11 @@ impl Engine {
         tr.gates = Some(cost.estimated_nodes);
         tr.cache_hit = Some(hit);
         self.count_route(Route::Compiled);
-        let fallbacks_before = gfomc_logic::interval_fallbacks_thread();
-        // With a threshold, the decision is answered on the interval
-        // lane first — the exact pass runs only when the enclosure
-        // straddles `t` (visible as a fallback in the trace).
-        let result = match &budget.threshold {
-            Some(t) => {
-                let (le, _fell_back) = compiled.certify_le_db(t);
-                AutoResult::Certified {
-                    le,
-                    threshold: t.clone(),
-                }
-            }
-            None => AutoResult::Exact(
-                ROUTE_ARENA.with(|arena| compiled.evaluate_db_with(&mut arena.borrow_mut())),
-            ),
-        };
+        let p = ROUTE_ARENA.with(|arena| compiled.evaluate_db_with(&mut arena.borrow_mut()));
         span(tr, "evaluate");
-        tr.fallbacks = Some(gfomc_logic::interval_fallbacks_thread() - fallbacks_before);
         tr.route = Some(Route::Compiled.to_string());
         Routed {
-            result,
+            result: exact_answer(p, budget),
             route: Route::Compiled,
             cost: Some(cost),
             trace: None,
@@ -693,10 +677,10 @@ mod tests {
 
     #[test]
     fn threshold_budget_certifies_on_the_compiled_route() {
-        // Unsafe preset: the threshold query must take the compiled route
-        // and answer on the interval-certify lane, with verdicts
-        // byte-identical to comparing the exact probability: an h1 block
-        // on a k/8 sweep, and the seeded 3×3 unsafe-block preset on k/16.
+        // Unsafe preset: the threshold query must take the compiled route,
+        // with verdicts byte-identical to comparing the exact probability:
+        // an h1 block on a k/8 sweep, and the seeded 3×3 unsafe-block
+        // preset on k/16.
         let q = catalog::h1();
         let mut rng = StdRng::seed_from_u64(7);
         let tid = random_block_tid(&mut rng, &q, 2, 2);
@@ -717,8 +701,7 @@ mod tests {
                 assert_eq!(threshold, &t);
                 assert_eq!(*le, exact <= t, "verdict at t = {t} vs exact {exact}");
             }
-            // A threshold equal to the exact value forces the interval lane
-            // to fall back — the verdict must still be the exact comparison.
+            // A threshold equal to the exact value: the tie is `le`.
             let budget = Budget::default().with_threshold(exact.clone()).unwrap();
             let routed = engine.evaluate_auto(&q, &tid, &budget);
             assert_eq!(
@@ -798,8 +781,27 @@ mod tests {
                 assert_ne!(routed.route, Route::Lifted);
             }
             assert!(routed.result.is_exact() || matches!(routed.route, Route::Sampled));
+            // A threshold never changes the route, and on an exact route
+            // the verdict is the exact comparison — at ½ and at a tie.
+            let exact = probability(&q, &tid);
+            for t in [Rational::one_half(), exact.clone()] {
+                let with_t = budget.clone().with_threshold(t.clone()).unwrap();
+                let certified = engine.evaluate_auto(&q, &tid, &with_t);
+                assert_eq!(certified.route, routed.route);
+                if routed.route == Route::Sampled {
+                    assert_eq!(certified.result, routed.result);
+                } else {
+                    assert_eq!(
+                        certified.result,
+                        AutoResult::Certified {
+                            le: exact <= t,
+                            threshold: t
+                        }
+                    );
+                }
+            }
         }
         let counts = engine.route_counts();
-        assert_eq!(counts.lifted + counts.compiled + counts.sampled, 10);
+        assert_eq!(counts.lifted + counts.compiled + counts.sampled, 30);
     }
 }

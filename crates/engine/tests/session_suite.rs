@@ -416,3 +416,79 @@ fn update_replies_expose_dirty_cone_sizes() {
     assert!(*repriced > 0, "a real update must re-price something");
     assert!(of > repriced, "dirty cone covered the whole circuit");
 }
+
+/// The h1 query over a 2×2 block, every tuple at ½ — the paper's
+/// generalized model counting weights.
+const H1_BLOCK: &str = "\
+query [R(x0) v S0(x0,y0)] & [S0(x0,y0) v T(y0)]
+left 0 1
+right 1000 1001
+tuple R(u0) 1/2
+tuple R(u1) 1/2
+tuple S0(u0,v1000) 1/2
+tuple S0(u0,v1001) 1/2
+tuple S0(u1,v1000) 1/2
+tuple S0(u1,v1001) 1/2
+tuple T(v1000) 1/2
+tuple T(v1001) 1/2
+";
+
+/// Golden session replies: fixed bodies through [`Engine::session_wire`]
+/// on a fresh engine, compared byte for byte — values, gradients and the
+/// `repriced N of M` dirty-cone sizes included. The `repriced` counts are
+/// an implementation detail of incremental re-pricing, so no
+/// build-against-itself check (the load benchmark's twin engine,
+/// `gfomc-cli check`) notices when they drift; this test does.
+#[test]
+fn golden_session_replies_are_pinned_byte_for_byte() {
+    let engine = Engine::new();
+    let bodies = [
+        // Updates to 0, 1 and ⅓, a repeated no-op, then a revert to ½.
+        format!(
+            "session open\n{H1_BLOCK}update R(u0) 0\nupdate T(v1000) 1\n\
+             update S0(u1,v1001) 1/3\nupdate S0(u1,v1001) 1/3\nvalue\n\
+             update R(u0) 1/2\nvalue\nexplain top 3\n"
+        ),
+        // The same session, driven by a later request.
+        "session use 1\nupdate S0(u0,v1000) 0\nupdate R(u1) 1\nupdate R(u1) 1\n\
+         gradient T(v1001)\nwhatif S0(u1,v1000)\nvalue\nsession close\n"
+            .to_string(),
+        // A second session whose first update hits a deterministic weight.
+        format!(
+            "session open\n{H1_BLOCK}update T(v1001) 0\nupdate T(v1001) 0\n\
+             update S0(u1,v1000) 1/3\nvalue\nsession close\n"
+        ),
+    ];
+    let replies: Vec<String> = bodies
+        .iter()
+        .map(|b| engine.session_wire(b).unwrap())
+        .collect();
+    let expected = [
+        "session 1\n\
+         updated R(u0) 0 repriced 1 of 24\n\
+         updated T(v1000) 1 repriced 11 of 24\n\
+         updated S0(u1,v1001) 1/3 repriced 12 of 24\n\
+         updated S0(u1,v1001) 1/3 repriced 0 of 24\n\
+         value 5/48\n\
+         updated R(u0) 1/2 repriced 1 of 24\n\
+         value 11/48\n\
+         influence 1 R(u1) 7/24\n\
+         influence 2 T(v1001) 13/48\n\
+         influence 3 R(u0) 1/4\n",
+        "session 1\n\
+         updated S0(u0,v1000) 0 repriced 6 of 24\n\
+         updated R(u1) 1 repriced 4 of 24\n\
+         updated R(u1) 1 repriced 0 of 24\n\
+         gradient T(v1001) 5/12\n\
+         whatif S0(u1,v1000) 7/24 7/24\n\
+         value 7/24\n\
+         closed\n",
+        "session 2\n\
+         updated T(v1001) 0 repriced 11 of 24\n\
+         updated T(v1001) 0 repriced 0 of 24\n\
+         updated S0(u1,v1000) 1/3 repriced 12 of 24\n\
+         value 1/12\n\
+         closed\n",
+    ];
+    assert_eq!(replies, expected);
+}

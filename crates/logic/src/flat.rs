@@ -1,4 +1,4 @@
-//! Flat struct-of-arrays circuits with interval-first evaluation.
+//! Flat struct-of-arrays circuits and their exact evaluation.
 //!
 //! The pointer-y [`Node`] tree of [`crate::circuit`] is the *compilation*
 //! representation: easy to grow, memoize, and extract. It is a poor
@@ -21,20 +21,17 @@
 //! * **one gate kernel** — the two gate formulas, `Product = Π children`
 //!   and `Decision = p·hi + (1 − p)·lo`, are written once, generic over a
 //!   value [`Lane`]: the hybrid exact lane (machine-word rationals that
-//!   spill to bignum), the certified interval lane, or (in `gfomc-poly`)
-//!   polynomials for the arithmetization. The forward pass on any lane
-//!   and incremental re-pricing ([`crate::priced::PricedCircuit`]) all
-//!   price gates through it, so their results agree by construction;
-//!   evaluate-many callers loop that one forward pass over their
-//!   weightings, reusing one [`EvalArena`];
-//! * **interval-first evaluation** — [`FlatCircuit::eval_interval_with`]
-//!   prices every gate in certified outward-rounded `f64`
-//!   ([`Interval`]) at a few nanoseconds per gate; callers that only need
-//!   a comparison consult the certified verdict ([`Certifies`]), and
-//!   [`FlatCircuit::le_exact`] falls back to the exact forward pass only
-//!   when the enclosure cannot decide. Whenever an output `Rational` (not
-//!   just a comparison) is demanded, the exact pass runs in full —
-//!   results stay bit-identical to the tree evaluator.
+//!   spill to bignum) or (in `gfomc-poly`) polynomials for the
+//!   arithmetization. The forward pass on either lane and incremental
+//!   re-pricing ([`crate::priced::PricedCircuit`]) all price gates
+//!   through it, so their results agree by construction; evaluate-many
+//!   callers loop that one forward pass over their weightings, reusing
+//!   one [`EvalArena`];
+//! * **exact values only** — every evaluation materializes the exact
+//!   root `Rational`, and a caller that needs a comparison compares that
+//!   value. On the paper's `{0, ½, 1}` weights the hybrid lane stays in
+//!   machine words (every op on the seeded unsafe-block preset takes the
+//!   small path), so an approximate pre-pass would not pay for itself.
 //!
 //! Exactness contract: for every circuit and every weight function,
 //! `flat.eval_exact(w) == tree.evaluate(w) == wmc_brute_force(f, w)`
@@ -44,10 +41,8 @@
 use crate::circuit::{Circuit, Compiler, Node, Valuation};
 use crate::cnf::Var;
 use crate::wmc::WeightFn;
-use gfomc_arith::{Certifies, Interval, Rat64, Rational};
-use std::cell::Cell;
+use gfomc_arith::{Rat64, Rational};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One gate value of the hybrid exact pass: machine words while every
 /// intermediate fits ([`Rat64`]), exact bignum from the first overflow on.
@@ -98,9 +93,8 @@ impl SlotW {
 /// A value lane of the gate kernel: the arithmetic one gate formula
 /// needs, and nothing else — any commutative semiring with a Shannon
 /// gate. Here: the hybrid exact lane (machine-word rationals that spill
-/// to bignum) and the certified interval lane ([`Interval`]);
-/// `gfomc-poly` adds the polynomial lane of the arithmetization. A lane
-/// runs through [`FlatCircuit::forward`].
+/// to bignum); `gfomc-poly` adds the polynomial lane of the
+/// arithmetization. A lane runs through [`FlatCircuit::forward`].
 pub trait Lane {
     /// One distinct variable's resolved weight.
     type Weight;
@@ -168,67 +162,6 @@ impl Lane for LaneVal {
         let lo = lo.to_rational();
         LaneVal::B(&(&w.p * &hi) + &(&w.pc * &lo))
     }
-}
-
-/// Certified outward-rounded enclosures. Every gate value of a monotone
-/// circuit under probability weights is itself a probability, so each
-/// step intersects with `[0, 1]` ([`Interval::clamp_unit`]) to undo the
-/// outward nudges' drift; a Product never stops early.
-impl Lane for Interval {
-    type Weight = Interval;
-
-    #[inline]
-    fn constant(one: bool) -> Self {
-        if one {
-            Interval::ONE
-        } else {
-            Interval::ZERO
-        }
-    }
-
-    #[inline]
-    fn leaf(w: &Interval) -> Self {
-        *w
-    }
-
-    #[inline]
-    fn times(&self, kid: &Self) -> Self {
-        self.mul(kid).clamp_unit()
-    }
-
-    #[inline]
-    fn absorbing(&self) -> bool {
-        false
-    }
-
-    #[inline]
-    fn decide(w: &Interval, hi: &Self, lo: &Self) -> Self {
-        w.mul(hi).add(&w.one_minus().mul(lo)).clamp_unit()
-    }
-}
-
-/// Process-wide count of interval-evaluation fallbacks to exact
-/// arithmetic in [`FlatCircuit::le_exact`] — a telemetry counter: it
-/// observes the decision, never influences it.
-static INTERVAL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Per-thread slice of [`INTERVAL_FALLBACKS`]. The compiled route
-    /// evaluates on the request's own thread, so a before/after read of
-    /// this cell attributes fallbacks to one request exactly.
-    static INTERVAL_FALLBACKS_THREAD: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Total [`FlatCircuit::le_exact`] interval→exact fallbacks across the
-/// process (monotone; exported to the engine's `/metrics` gauges).
-pub fn interval_fallbacks_total() -> u64 {
-    INTERVAL_FALLBACKS.load(Ordering::Relaxed)
-}
-
-/// This thread's share of [`interval_fallbacks_total`] — read it before
-/// and after an evaluation to attribute fallbacks to that evaluation.
-pub fn interval_fallbacks_thread() -> u64 {
-    INTERVAL_FALLBACKS_THREAD.with(Cell::get)
 }
 
 /// Gate opcode of a [`FlatCircuit`].
@@ -428,55 +361,6 @@ impl FlatCircuit {
         self.eval_exact_with(w, &mut EvalArena::new())
     }
 
-    /// A certified enclosure of `Pr(F, w)` — the fast path. Converts each
-    /// distinct weight with directed rounding, then runs the interval
-    /// forward pass (plain `Copy` doubles, no heap traffic). The exact
-    /// weights stay resolved in the arena for [`FlatCircuit::le_exact`]'s
-    /// fallback.
-    pub fn eval_interval_with<W: WeightFn>(&self, w: &W, arena: &mut EvalArena) -> Interval {
-        arena.slots.clear();
-        self.resolve(w, &mut arena.slots);
-        arena.slot_intervals.clear();
-        arena
-            .slot_intervals
-            .extend(arena.slots.iter().map(|s| Interval::from_probability(&s.p)));
-        self.forward(&arena.slot_intervals, &mut arena.intervals);
-        arena.intervals[self.root as usize]
-    }
-
-    /// A certified enclosure of `Pr(F, w)`, with a throwaway arena.
-    pub fn eval_interval<W: WeightFn>(&self, w: &W) -> Interval {
-        self.eval_interval_with(w, &mut EvalArena::new())
-    }
-
-    /// Certified verdict for `Pr(F, w) ≤ t` from the interval pass alone
-    /// — [`Certifies::Unknown`] when the enclosure straddles `t`.
-    pub fn proves_le<W: WeightFn>(&self, w: &W, t: &Rational, arena: &mut EvalArena) -> Certifies {
-        self.eval_interval_with(w, arena).proves_le_rational(t)
-    }
-
-    /// Definite answer for `Pr(F, w) ≤ t`: interval fast path first, the
-    /// exact forward pass only on [`Certifies::Unknown`] (counted by
-    /// [`interval_fallbacks_total`] / [`interval_fallbacks_thread`]).
-    /// Returns `(answer, fell_back_to_exact)`.
-    pub fn le_exact<W: WeightFn>(
-        &self,
-        w: &W,
-        t: &Rational,
-        arena: &mut EvalArena,
-    ) -> (bool, bool) {
-        match self.proves_le(w, t, arena) {
-            Certifies::Proven(b) => (b, false),
-            Certifies::Unknown => {
-                INTERVAL_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-                INTERVAL_FALLBACKS_THREAD.with(|c| c.set(c.get() + 1));
-                // The interval pass left `w` resolved in `arena.slots`.
-                self.forward(&arena.slots, &mut arena.cells);
-                (&arena.cells[self.root as usize].to_rational() <= t, true)
-            }
-        }
-    }
-
     /// Evaluates **every** gate exactly under `w` in one forward pass —
     /// the flat analogue of [`Compiler::evaluate_all`] for multi-rooted
     /// pools built by [`Compiler::finish_flat`] (ids are preserved, so
@@ -559,24 +443,19 @@ impl ReverseTopology {
 /// Bottom-up evaluation needs one slot per gate. Allocating those vectors
 /// anew for every weight assignment dominated the evaluate-many profile;
 /// an arena created once and threaded through
-/// [`FlatCircuit::eval_exact_with`] / [`FlatCircuit::evaluate_all_with`] /
-/// [`FlatCircuit::eval_interval_with`] keeps the capacity across
-/// weightings. The slabs:
+/// [`FlatCircuit::eval_exact_with`] / [`FlatCircuit::evaluate_all_with`]
+/// keeps the capacity across weightings. The slabs:
 ///
 /// * `slots` — the weighting resolved once per *distinct variable*
 ///   (weight, complement, and their machine-word forms), so the per-gate
 ///   loop indexes a dense slice instead of re-querying the weight function
 ///   at every leaf and decision;
 /// * `cells` — one hybrid exact value per gate (machine words until an op
-///   overflows, exact bignum after);
-/// * `slot_intervals` / `intervals` — the interval lane's per-slot weights
-///   and one certified enclosure per gate (plain `Copy` doubles).
+///   overflows, exact bignum after).
 #[derive(Clone, Debug, Default)]
 pub struct EvalArena {
     slots: Vec<SlotW>,
     cells: Vec<LaneVal>,
-    slot_intervals: Vec<Interval>,
-    intervals: Vec<Interval>,
 }
 
 impl EvalArena {
@@ -631,38 +510,6 @@ mod tests {
             let w = UniformWeight(r(k, 4));
             assert_eq!(flat.eval_exact(&w), tree.evaluate(&w));
         }
-    }
-
-    #[test]
-    fn interval_encloses_exact_value() {
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3])]);
-        let flat = Circuit::compile(&f).flatten();
-        for w in [r(1, 2), r(1, 3), r(2, 7)] {
-            let w = UniformWeight(w);
-            let exact = flat.eval_exact(&w);
-            assert!(flat.eval_interval(&w).contains(&exact));
-        }
-    }
-
-    #[test]
-    fn le_exact_decides_correctly_with_and_without_fallback() {
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3])]);
-        let flat = Circuit::compile(&f).flatten();
-        let w = UniformWeight(r(1, 2));
-        let exact = flat.eval_exact(&w); // 5/8
-        let mut arena = EvalArena::new();
-        // Far threshold: interval decides, no fallback, counter untouched.
-        let before = interval_fallbacks_thread();
-        let (ans, fell_back) = flat.le_exact(&w, &r(3, 4), &mut arena);
-        assert!(ans && !fell_back);
-        assert_eq!(interval_fallbacks_thread(), before);
-        // Threshold equal to the value: the outward nudges widen the
-        // enclosure past it, so this exercises the exact fallback, which
-        // is counted exactly once.
-        assert_eq!(flat.le_exact(&w, &exact, &mut arena), (true, true));
-        assert_eq!(interval_fallbacks_thread(), before + 1);
-        let (ans, _) = flat.le_exact(&w, &r(1, 2), &mut arena);
-        assert!(!ans);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   arithmetic circuits, for compile-once / evaluate-many workloads;
 //! * [`flat`] — the struct-of-arrays evaluation form of those circuits
 //!   ([`FlatCircuit`]): dense topologically ordered gates, packed
-//!   children, interval-first evaluation with certified exact fallback;
+//!   children, and one exact forward pass shared by every value lane;
 //! * [`priced`] — the stateful layer over [`flat`] ([`PricedCircuit`]):
 //!   persisted per-gate exact values, reverse topology, dirty-path
 //!   incremental re-pricing on weight updates, and the downward
@@ -38,10 +38,7 @@ pub use circuit::{Circuit, Compiler, Node, NodeId, Valuation};
 pub use cnf::{Clause, Cnf, Var};
 pub use cofactor::{BitCnf, VarIndex};
 pub use dnf::Dnf;
-pub use flat::{
-    interval_fallbacks_thread, interval_fallbacks_total, EvalArena, FlatCircuit, Lane, Op,
-    ReverseTopology,
-};
+pub use flat::{EvalArena, FlatCircuit, Lane, Op, ReverseTopology};
 pub use priced::{PricedCircuit, UpdateStats};
 pub use wmc::{wmc, wmc_brute_force, UniformWeight, WeightFn, WeightsFromFn};
 

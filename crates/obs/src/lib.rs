@@ -448,11 +448,12 @@ impl Registry {
 pub struct Trace {
     /// `(phase name, nanoseconds)` in execution order. Phase names are
     /// single words (no whitespace) so the line grammar round-trips.
-    /// The engine's vocabulary: `parse` / `route` / `compile` /
-    /// `evaluate` phases on the evaluation routes, and `open` /
-    /// `update` / `explain` on session requests (the latter two summed
-    /// across a request's ops;
-    /// per-op latencies go to the `engine_update_nanos` /
+    /// The engine's vocabulary: `parse` / `route` / `cache` / `compile`
+    /// / `evaluate` / `sample` phases on the evaluation routes (a cache
+    /// hit records `cache`, a miss `compile`, an over-budget lineage
+    /// `sample` in place of `evaluate`), and `open` / `update` /
+    /// `explain` on session requests (the latter two summed across a
+    /// request's ops; per-op latencies go to the `engine_update_nanos` /
     /// `engine_explain_nanos` histograms instead).
     pub spans: Vec<(String, u64)>,
     /// The route taken (`lifted` / `compiled` / `sampled`, or `session`
@@ -467,9 +468,6 @@ pub struct Trace {
     pub samples: Option<u64>,
     /// Sampled route (adaptive mode): rounds before stopping.
     pub rounds: Option<u64>,
-    /// Compiled route: interval-evaluation fallbacks to exact
-    /// arithmetic during this request.
-    pub fallbacks: Option<u64>,
     /// End-to-end nanoseconds (what the slow log thresholds on).
     pub total_nanos: u64,
 }
@@ -517,9 +515,6 @@ impl fmt::Display for Trace {
         }
         if let Some(rounds) = self.rounds {
             writeln!(f, "rounds {rounds}")?;
-        }
-        if let Some(fallbacks) = self.fallbacks {
-            writeln!(f, "fallbacks {fallbacks}")?;
         }
         writeln!(f, "total {}", self.total_nanos)
     }
@@ -595,15 +590,6 @@ impl FromStr for Trace {
                 "rounds" => {
                     if trace.rounds.replace(parse_u64("rounds", rest)?).is_some() {
                         return Err(dup("rounds"));
-                    }
-                }
-                "fallbacks" => {
-                    if trace
-                        .fallbacks
-                        .replace(parse_u64("fallbacks", rest)?)
-                        .is_some()
-                    {
-                        return Err(dup("fallbacks"));
                     }
                 }
                 "total" => {
@@ -843,7 +829,6 @@ mod tests {
         trace.route = Some("compiled".into());
         trace.cache_hit = Some(false);
         trace.gates = Some(512);
-        trace.fallbacks = Some(0);
         trace.total_nanos = 95_000;
         let text = trace.to_string();
         assert_eq!(text.parse::<Trace>().unwrap(), trace);
@@ -861,6 +846,7 @@ mod tests {
             "total 1\ntotal 2\n",     // duplicate
             "unknown 3\ntotal 1\n",   // unknown key
             "route two words\ntotal 1\n",
+            "fallbacks 0\ntotal 1\n", // not a trace key
         ] {
             assert!(bad.parse::<Trace>().is_err(), "{bad:?}");
         }

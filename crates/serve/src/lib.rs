@@ -395,8 +395,8 @@ fn at_capacity(gate: &Arc<AdmissionGate>) -> Response {
 }
 
 /// Publishes the gate's counters into the engine registry and refreshes
-/// the engine-side gauges (cache occupancy, pool counters, process-wide
-/// sampler/fallback tallies), so `/status` and `/metrics` both render
+/// the engine-side gauges (cache occupancy, pool counters, open sessions,
+/// the process-wide sampler tally), so `/status` and `/metrics` both render
 /// from one freshly synced key space.
 fn sync_gauges(engine: &Engine, gate: &Arc<AdmissionGate>) {
     let g = gate.stats();
