@@ -16,9 +16,15 @@
 //! 53-bit dyadic draw against exact rational quantities (cumulative term
 //! weights, variable probabilities) folded at construction time into
 //! integer thresholds — one u64 comparison per draw, deciding identically
-//! to the rational comparison, with no per-sample allocation. Under the
+//! to the rational comparison, with no per-sample allocation. Word-sized
+//! probabilities fold into their thresholds in `u128` registers. Under the
 //! workspace's deterministic [`rand`] stand-in, a fixed seed therefore
 //! yields a bit-identical [`Estimate`] on every platform.
+//!
+//! Worlds are packed 64 variables to a word. A world conditioned on term
+//! `j` is drawn word by word from `j`'s sparse word masks: the forced bits
+//! are set at once, and only the free bits draw, lowest position first,
+//! one draw each — the RNG stream a per-variable walk would consume.
 //!
 //! [`CnfSampler`] adapts the estimator to the workspace's native
 //! representation: the probability of a monotone CNF `F` (a query lineage)
@@ -102,13 +108,13 @@ pub struct KarpLuby {
     /// draw is a single u64 comparison yet decides exactly like the
     /// rational comparison would.
     thresholds: Vec<u64>,
-    /// Term → sorted positions of its variables (zero-probability terms are
-    /// dropped: they hold in no world and cannot affect the canonical scan).
-    terms: Vec<Vec<usize>>,
     /// Term → sparse word masks `(word, bits)` over the packed world: term
     /// `i` holds in `world` iff `world[word] & bits == bits` for every
-    /// entry. Positions are sorted, so entries are grouped per word and the
-    /// canonical scan touches each 64-variable window at most once.
+    /// entry. Entries are in ascending word order, one per 64-variable
+    /// window the term touches, so both the conditioned draw and the
+    /// canonical scan visit each window at most once. Zero-probability
+    /// terms are dropped: they hold in no world and cannot affect the
+    /// canonical scan.
     term_masks: Vec<Vec<(u32, u64)>>,
     /// Cumulative term weights on the dyadic grid:
     /// `cum_thresholds[j] = ceil((Σ_{i ≤ j} Pr(T_i))·2^53 / S)`. Term
@@ -145,7 +151,7 @@ impl KarpLuby {
             thresholds.push(dyadic_threshold(&p));
         }
         let position = |v: Var| vars.binary_search(&v).expect("term var in support");
-        let mut terms: Vec<Vec<usize>> = Vec::with_capacity(d.len());
+        let mut term_masks: Vec<Vec<(u32, u64)>> = Vec::with_capacity(d.len());
         let mut cum: Vec<Rational> = Vec::with_capacity(d.len());
         let mut total = Rational::zero();
         for i in 0..d.len() {
@@ -156,40 +162,20 @@ impl KarpLuby {
                 // the canonical scan. Drop it.
                 continue;
             }
-            terms.push(d.terms()[i].vars().iter().map(|&v| position(v)).collect());
+            term_masks.push(word_masks(d.terms()[i].vars().iter().map(|&v| position(v))));
             total = &total + &p;
             cum.push(total.clone());
         }
-        if terms.is_empty() {
+        if term_masks.is_empty() {
             // Every term was impossible: Pr(D) = 0 exactly.
             return KarpLuby::trivial(Rational::zero());
         }
-        // Normalization hoist: `ceil((c/S)·2^53)` is computed as one integer
-        // ceiling division per term on cross-multiplied numerators — never
-        // materializing the reduced rational `c/S`, whose per-term gcd
-        // normalization used to dominate construction. Ceiling division is
-        // scale-invariant (`⌈ka/kb⌉ = ⌈a/b⌉`), so the thresholds are
-        // bit-identical to the old per-term `dyadic_threshold(c/S)` path.
-        let s_numer = total.numer().magnitude();
-        let s_denom = total.denom();
-        let cum_thresholds = cum
-            .iter()
-            .map(|c| {
-                let numer = (c.numer().magnitude() * s_denom).shl_bits(53);
-                let denom = c.denom() * s_numer;
-                let (q, r) = numer.div_rem(&denom);
-                let q = q.to_u64().expect("cum ≤ S keeps the threshold within 2^53");
-                if r.is_zero() {
-                    q
-                } else {
-                    q + 1
-                }
-            })
-            .collect();
-        let term_masks = terms.iter().map(|t| word_masks(t)).collect();
+        // Normalization hoist: `ceil((c/S)·2^53)` is one integer ceiling
+        // division per term on cross-multiplied parts, never materializing
+        // the reduced rational `c/S`.
+        let cum_thresholds = cum.iter().map(|c| ceil_dyadic(c, &total)).collect();
         KarpLuby {
             thresholds,
-            terms,
             term_masks,
             cum_thresholds,
             total,
@@ -200,7 +186,6 @@ impl KarpLuby {
     fn trivial(value: Rational) -> Self {
         KarpLuby {
             thresholds: Vec::new(),
-            terms: Vec::new(),
             term_masks: Vec::new(),
             cum_thresholds: Vec::new(),
             total: Rational::zero(),
@@ -210,7 +195,7 @@ impl KarpLuby {
 
     /// Number of live (nonzero-probability) terms.
     pub fn term_count(&self) -> usize {
-        self.terms.len()
+        self.term_masks.len()
     }
 
     /// The union bound `S` the estimator normalizes against.
@@ -231,7 +216,7 @@ impl KarpLuby {
     pub fn fpras_samples(&self, epsilon: f64, delta: f64) -> u64 {
         validate_unit_open("epsilon", epsilon);
         validate_unit_open("delta", delta);
-        let m = self.terms.len().max(1) as f64;
+        let m = self.term_masks.len().max(1) as f64;
         (3.0 * m * (2.0 / delta).ln() / (epsilon * epsilon)).ceil() as u64
     }
 
@@ -422,8 +407,8 @@ impl KarpLuby {
     fn draw_term<R: Rng>(&self, rng: &mut R) -> usize {
         let r = rng.next_u64() >> 11;
         let j = self.cum_thresholds.partition_point(|&t| t <= r);
-        debug_assert!(j < self.terms.len());
-        j.min(self.terms.len() - 1)
+        debug_assert!(j < self.term_masks.len());
+        j.min(self.term_masks.len() - 1)
     }
 
     /// Fills `world` with a sample conditioned on term `j` holding: its
@@ -431,31 +416,35 @@ impl KarpLuby {
     /// Bernoulli draw against its exact dyadic threshold.
     ///
     /// The RNG consumption order is load-bearing: exactly one draw per
-    /// non-forced position, in position order, none for forced positions —
-    /// identical to the historical `Vec<bool>` walk, so seeded estimates
-    /// are unchanged by the packing. Each word is rebuilt from zero in a
-    /// register and stored once, which is what lets callers reuse the
-    /// scratch without clearing it.
+    /// non-forced position, in position order, none for forced positions,
+    /// so seeded estimates do not depend on how the world is packed. Each
+    /// word starts from term `j`'s forced bits (its sparse mask for that
+    /// window), then walks the free bits lowest first with
+    /// `trailing_zeros`, setting each one branch-free from its draw. The
+    /// word is stored once, which is what lets callers reuse the scratch
+    /// without clearing it.
     fn draw_world<R: Rng>(&self, rng: &mut R, j: usize, world: &mut [u64]) {
         let n = self.thresholds.len();
-        let term = &self.terms[j];
-        let mut next_forced = 0usize;
-        let mut word = 0u64;
-        for pos in 0..n {
-            let bit = if next_forced < term.len() && term[next_forced] == pos {
-                next_forced += 1;
-                true
+        let mut forced = self.term_masks[j].iter().peekable();
+        for (w, slot) in world.iter_mut().enumerate() {
+            let base = w * 64;
+            let live = if n - base >= 64 {
+                u64::MAX
             } else {
-                (rng.next_u64() >> 11) < self.thresholds[pos]
+                (1u64 << (n - base)) - 1
             };
-            word |= (bit as u64) << (pos % 64);
-            if pos % 64 == 63 {
-                world[pos / 64] = word;
-                word = 0;
+            let mut word = match forced.next_if(|&&(fw, _)| fw as usize == w) {
+                Some(&(_, bits)) => bits,
+                None => 0,
+            };
+            let mut free = live & !word;
+            while free != 0 {
+                let bit = free.trailing_zeros();
+                free &= free - 1;
+                let hit = (rng.next_u64() >> 11) < self.thresholds[base + bit as usize];
+                word |= u64::from(hit) << bit;
             }
-        }
-        if !n.is_multiple_of(64) {
-            world[n / 64] = word;
+            *slot = word;
         }
     }
 
@@ -469,11 +458,11 @@ impl KarpLuby {
     }
 }
 
-/// Packs sorted variable positions into sparse `(word, bits)` masks —
+/// Packs ascending variable positions into sparse `(word, bits)` masks —
 /// consecutive positions sharing a 64-bit window merge into one entry.
-fn word_masks(positions: &[usize]) -> Vec<(u32, u64)> {
+fn word_masks(positions: impl Iterator<Item = usize>) -> Vec<(u32, u64)> {
     let mut masks: Vec<(u32, u64)> = Vec::new();
-    for &pos in positions {
+    for pos in positions {
         let word = (pos / 64) as u32;
         let bit = 1u64 << (pos % 64);
         match masks.last_mut() {
@@ -488,13 +477,31 @@ fn word_masks(positions: &[usize]) -> Vec<(u32, u64)> {
 /// threshold on the dyadic grid. For a 53-bit draw `r`,
 /// `r/2^53 < p ⇔ r < ceil(p·2^53)` (whether or not `p·2^53` is an
 /// integer), so the u64 comparison decides *identically* to the rational
-/// one — just without allocating per draw. Used for both the Bernoulli
-/// draws (`p` a variable probability) and term selection (`p` a
-/// normalized cumulative weight `cum[j]/S`).
+/// one — just without allocating per draw. Used for the Bernoulli draws
+/// (`p` a variable probability); term selection uses the same threshold
+/// of the normalized cumulative weight `cum[j]/S`, via [`ceil_dyadic`].
 fn dyadic_threshold(p: &Rational) -> u64 {
-    let scaled = p.numer().magnitude().shl_bits(53);
-    let (q, r) = scaled.div_rem(p.denom());
-    let q = q.to_u64().expect("p ≤ 1 keeps the threshold within 2^53");
+    ceil_dyadic(p, &Rational::one())
+}
+
+/// `ceil((a/b)·2^53)` for `0 ≤ a ≤ b`, `b > 0`: one integer ceiling
+/// division on cross-multiplied parts, `⌈a.n·b.d·2^53 / (a.d·b.n)⌉`, so
+/// `a/b` is never reduced. Ceiling division is scale-invariant
+/// (`⌈ka/kb⌉ = ⌈a/b⌉`), so this equals `dyadic_threshold(a/b)` exactly.
+/// Word-sized operands divide in `u128` registers whenever the scaled
+/// numerator fits; anything larger divides as bignums.
+fn ceil_dyadic(a: &Rational, b: &Rational) -> u64 {
+    if let (Some(x), Some(y)) = (a.to_rat64(), b.to_rat64()) {
+        let num = u128::from(x.num().unsigned_abs()) * u128::from(y.den());
+        let den = u128::from(x.den()) * u128::from(y.num().unsigned_abs());
+        if num.leading_zeros() >= 53 {
+            return ((num << 53).div_ceil(den)) as u64;
+        }
+    }
+    let numer = (a.numer().magnitude() * &b.denom()).shl_bits(53);
+    let denom = &a.denom() * b.numer().magnitude();
+    let (q, r) = numer.div_rem(&denom);
+    let q = q.to_u64().expect("a ≤ b keeps the threshold within 2^53");
     if r.is_zero() {
         q
     } else {

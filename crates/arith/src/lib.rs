@@ -58,6 +58,7 @@ mod proptests {
             Just(1),
             Just(-1),
             Just(i64::MAX),
+            Just(i64::MIN),
             Just(i64::MIN + 1),
             Just((1i64 << 62) + 1),
             Just((1i64 << 32) - 1),
@@ -82,6 +83,41 @@ mod proptests {
                 Integer::from_sign_magnitude(Sign::Positive, Natural::from(d)),
             )
         })
+    }
+
+    // Bignum references for the ops whose word path has no `_big` twin:
+    // built from the parts and reduced by `new_big` alone.
+    fn neg_ref(a: &Rational) -> Rational {
+        Rational::new_big(-a.numer(), Integer::from(a.denom()))
+    }
+
+    fn recip_ref(a: &Rational) -> Rational {
+        let n = a.numer();
+        Rational::new_big(
+            Integer::from_sign_magnitude(n.sign(), a.denom()),
+            Integer::from(n.into_magnitude()),
+        )
+    }
+
+    fn cmp_ref(a: &Rational, b: &Rational) -> std::cmp::Ordering {
+        (a.numer() * Integer::from(b.denom())).cmp(&(b.numer() * Integer::from(a.denom())))
+    }
+
+    fn pow_ref(a: &Rational, e: u32) -> Rational {
+        Rational::new_big(a.numer().pow(e), Integer::from(a.denom().pow(e)))
+    }
+
+    /// The canonical form: inline exactly when the parts fit `i64`/`u64`.
+    fn canonical(r: &Rational) -> bool {
+        let fits = r.numer().to_i64().is_some() && r.denom().to_u64().is_some();
+        r.is_inline() == fits
+    }
+
+    fn hash_of(r: &Rational) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        r.hash(&mut h);
+        h.finish()
     }
 
     proptest! {
@@ -235,6 +271,55 @@ mod proptests {
         }
 
         #[test]
+        fn every_op_matches_bignum_in_canonical_form(
+            a in arb_smallpath_rational(), b in arb_smallpath_rational(), e in 0u32..4,
+        ) {
+            let mut results = vec![
+                (&a + &b, a.add_big(&b)),
+                (&a - &b, a.add_big(&neg_ref(&b))),
+                (&a * &b, a.mul_big(&b)),
+                (-&a, neg_ref(&a)),
+                (-a.clone(), neg_ref(&a)),
+                (a.abs(), if a.is_negative() { neg_ref(&a) } else { a.clone() }),
+                (a.complement(), Rational::one().add_big(&neg_ref(&a))),
+                (a.pow(e as i32), pow_ref(&a, e)),
+            ];
+            if !b.is_zero() {
+                results.push((&a / &b, a.mul_big(&recip_ref(&b))));
+                results.push((b.recip(), recip_ref(&b)));
+                results.push((b.pow(-(e as i32) - 1), pow_ref(&recip_ref(&b), e + 1)));
+            }
+            for (i, (got, want)) in results.iter().enumerate() {
+                prop_assert_eq!(got, want, "op {}", i);
+                prop_assert!(canonical(got), "op {} left {} in the wrong form", i, got);
+            }
+            prop_assert_eq!(a.cmp(&b), cmp_ref(&a, &b));
+            prop_assert!(canonical(&a) && canonical(&b));
+        }
+
+        #[test]
+        fn bignum_results_back_in_a_word_equal_the_word_value(
+            a in arb_smallpath_rational(), k in arb_natural(),
+        ) {
+            // a · (K/3) · (3/K) on the bignum path, with K ≥ 2^66 so both
+            // factors stay past a word: the intermediate is boxed, the
+            // result is `a` again.
+            let k = Integer::from(Natural::one().shl_bits(66) + k);
+            let up = Rational::new_big(k, Integer::from(3i64));
+            let down = recip_ref(&up);
+            prop_assert!(!up.is_inline() && !down.is_inline());
+            let back = a.mul_big(&up).mul_big(&down);
+            prop_assert!(back.is_inline() == a.is_inline());
+            prop_assert_eq!(&back, &a);
+            prop_assert_eq!(hash_of(&back), hash_of(&a));
+            let word = a.to_rat64().map(Rational::from);
+            if let Some(word) = word {
+                prop_assert_eq!(&back, &word);
+                prop_assert_eq!(hash_of(&back), hash_of(&word));
+            }
+        }
+
+        #[test]
         fn quadext_field_laws(
             a1 in arb_rational(), b1 in arb_rational(),
             a2 in arb_rational(), b2 in arb_rational(),
@@ -295,6 +380,78 @@ mod proptests {
         }
     }
 
+    /// The word parser and the bignum parser accept exactly the same
+    /// strings and agree on every value, at and past the `u64` boundary.
+    #[test]
+    fn from_decimal_word_path_matches_bignum_parser() {
+        let r = Rational::from_ints;
+        let table: Vec<(&str, Option<Rational>)> = vec![
+            ("3/8", Some(r(3, 8))),
+            ("+3/8", None),
+            ("03/08", Some(r(3, 8))),
+            ("-0/5", Some(Rational::zero())),
+            ("3/-8", Some(r(-3, 8))),
+            ("-3/-8", Some(r(3, 8))),
+            (" 3 / 8 ", Some(r(3, 8))),
+            ("6/16", Some(r(3, 8))),
+            ("-7", Some(r(-7, 1))),
+            ("", None),
+            ("-", None),
+            ("/", None),
+            ("3/", None),
+            ("/8", None),
+            ("--3", None),
+            ("- 3", None),
+            ("3/8/1", None),
+            ("3.5", None),
+            ("1/0", None),
+            ("0/0", None),
+            ("3/-0", None),
+            ("9223372036854775807", Some(r(i64::MAX, 1))),
+            ("-9223372036854775808", Some(Rational::from(i64::MIN))),
+            ("12345678901234567890/3", Some(r(4115226300411522630, 1))),
+            (
+                "1/18446744073709551615",
+                Some(Rational::from(Rat64::from_reduced(1, u64::MAX))),
+            ),
+            ("-92233720368547758080/10", Some(Rational::from(i64::MIN))),
+            (
+                "99999999999999999999/9999999999999999999900",
+                Some(r(1, 100)),
+            ),
+        ];
+        for (s, want) in table {
+            let got = Rational::from_decimal(s);
+            assert_eq!(got, want, "{s:?}");
+            assert_eq!(
+                got,
+                Rational::from_decimal_big(s),
+                "{s:?} against the bignum parser"
+            );
+            if let Some(v) = &got {
+                assert!(
+                    canonical(v) && v.is_inline(),
+                    "{s:?} parsed into the wrong form"
+                );
+            }
+        }
+        // Values past a machine word: boxed, and equal to the bignum parse.
+        for s in [
+            "9223372036854775808",
+            "18446744073709551615/2",
+            "18446744073709551616/2",
+            "18446744073709551616/3",
+            "12345678901234567891/2",
+        ] {
+            let got = Rational::from_decimal(s).expect(s);
+            assert_eq!(Some(&got), Rational::from_decimal_big(s).as_ref(), "{s:?}");
+            assert!(
+                canonical(&got) && !got.is_inline(),
+                "{s:?} parsed into the wrong form"
+            );
+        }
+    }
+
     /// Overflow-crossing regression: a computation that starts on the
     /// small path, spills to bignum mid-way (two-limb denominator), then
     /// reduces back into machine words — every leg must stay exact and
@@ -313,14 +470,14 @@ mod proptests {
         // the spill's numerator — a one-limb value again.
         let denom_int = Rational::from(Integer::from_sign_magnitude(
             Sign::Positive,
-            spilled.denom().clone(),
+            spilled.denom(),
         ));
         let back = &spilled * &denom_int;
         assert_eq!(
             back,
             Rational::from(Integer::from_sign_magnitude(
                 Sign::Positive,
-                spilled.numer().magnitude().clone(),
+                spilled.numer().into_magnitude(),
             ))
         );
         assert!(back.to_rat64().is_some(), "product must re-fit one limb");

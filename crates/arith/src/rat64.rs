@@ -1,26 +1,27 @@
-//! Machine-word rationals: the small-limb fast path of [`Rational`].
+//! Machine-word rationals: the inline form of [`Rational`].
 //!
-//! Profiling the flat circuit evaluator showed that on realistic block-TID
-//! workloads *every* gate value fits a single 64-bit limb, yet each
-//! [`Rational`] add/mul pays several `Vec<u64>` allocations plus a full
-//! bignum GCD. [`Rat64`] is the escape hatch: an `i64/u64` rational in
-//! lowest terms whose ops run entirely in machine registers (products in
+//! On the paper's `{0, ½, 1}` inputs and on weights in eighths, nearly
+//! every probability and gate value fits one 64-bit numerator and
+//! denominator. [`Rat64`] is that value: an `i64/u64` rational in lowest
+//! terms whose ops run entirely in machine registers (products in
 //! `i128`/`u128`, reduction by a word-sized binary GCD) and report
-//! overflow as `None` instead of wrapping, so callers can fall back to the
-//! bignum path losslessly.
+//! overflow as `None` instead of wrapping. A [`Rational`] holds every
+//! value that fits a `Rat64` inline as one, and takes its bignum path
+//! only when a `Rat64` op overflows.
 //!
 //! Exactness contract: a `Rat64` is always in lowest terms with a positive
 //! denominator (zero is `0/1`), i.e. exactly the canonical form
-//! [`Rational`] maintains — converting a `Rat64` result back to `Rational`
-//! is **bit-identical** to running the same op through the bignum path.
-//! The arith property suite pins this for add/mul/sub under adversarial
-//! operands.
+//! [`Rational`] maintains — a machine-word result is **bit-identical** to
+//! the same op run through the bignum path. The arith property suite pins
+//! this for every op under adversarial operands.
 //!
-//! The module also keeps per-thread telemetry (`[small_path_thread_stats]`)
-//! counting fast-path hits vs bignum fallbacks, which the load benchmark
-//! (`benchmark/`) reports as `arith.small_path_hit_rate`.
+//! The module also keeps per-thread telemetry ([`small_path_thread_stats`])
+//! counting machine-word hits vs bignum fallbacks of `Rational`
+//! arithmetic, which the load benchmark (`benchmark/`) reports as
+//! `arith.small_path_hit_rate`.
+//!
+//! [`Rational`]: crate::Rational
 
-use crate::rational::Rational;
 use std::cell::Cell;
 
 thread_local! {
@@ -54,7 +55,7 @@ pub fn small_path_thread_stats() -> (u64, u64) {
 
 /// Word-sized GCD (Stein's algorithm); `gcd(0, n) == n`.
 #[inline]
-fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     if a == 0 {
         return b;
     }
@@ -100,7 +101,7 @@ fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
 
 /// A rational `num / den` in machine words.
 ///
-/// Invariants (identical to [`Rational`]): `den > 0`,
+/// Invariants (identical to [`Rational`](crate::Rational)): `den > 0`,
 /// `gcd(|num|, den) == 1`, and zero is `0/1`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Rat64 {
@@ -116,7 +117,8 @@ impl Rat64 {
 
     /// Wraps parts that are **already in lowest terms** with `den > 0`
     /// (zero as `0/1`). Debug-asserted, not re-reduced — this is how
-    /// [`Rational::to_rat64`] transfers its own invariant.
+    /// [`Rational`](crate::Rational) stores parts it has already reduced
+    /// inline.
     #[inline]
     pub fn from_reduced(num: i64, den: u64) -> Rat64 {
         debug_assert!(den > 0, "Rat64 with zero denominator");
@@ -250,15 +252,10 @@ impl Rat64 {
     }
 }
 
-impl From<Rat64> for Rational {
-    fn from(r: Rat64) -> Rational {
-        Rational::from_reduced_parts(r.num, r.den)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rational::Rational;
 
     fn rat(n: i64, d: i64) -> Rational {
         Rational::from_ints(n, d)

@@ -133,7 +133,7 @@ fn rational_to_count(r: &Rational) -> Natural {
         r.numer().sign() != Sign::Negative,
         "recovered count is negative: {r}"
     );
-    r.numer().magnitude().clone()
+    r.numer().into_magnitude()
 }
 
 #[cfg(test)]

@@ -20,18 +20,19 @@
 //!   indexes it;
 //! * **one gate kernel** — the two gate formulas, `Product = Π children`
 //!   and `Decision = p·hi + (1 − p)·lo`, are written once, generic over a
-//!   value [`Lane`]: the hybrid exact lane (machine-word rationals that
-//!   spill to bignum) or (in `gfomc-poly`) polynomials for the
-//!   arithmetization. The forward pass on either lane and incremental
-//!   re-pricing ([`crate::priced::PricedCircuit`]) all price gates
-//!   through it, so their results agree by construction; evaluate-many
-//!   callers loop that one forward pass over their weightings, reusing
-//!   one [`EvalArena`];
+//!   value [`Lane`]: exact [`Rational`]s (held inline as machine words
+//!   while they fit, boxed bignums after) or (in `gfomc-poly`)
+//!   polynomials for the arithmetization. The forward pass on either
+//!   lane and incremental re-pricing ([`crate::priced::PricedCircuit`])
+//!   all price gates through it, so their results agree by construction;
+//!   evaluate-many callers loop that one forward pass over their
+//!   weightings, reusing one [`EvalArena`];
 //! * **exact values only** — every evaluation materializes the exact
 //!   root `Rational`, and a caller that needs a comparison compares that
-//!   value. On the paper's `{0, ½, 1}` weights the hybrid lane stays in
+//!   value. On the paper's `{0, ½, 1}` weights every value stays in
 //!   machine words (every op on the seeded unsafe-block preset takes the
-//!   small path), so an approximate pre-pass would not pay for itself.
+//!   small path, and a warm pass allocates nothing), so an approximate
+//!   pre-pass would not pay for itself.
 //!
 //! Exactness contract: for every circuit and every weight function,
 //! `flat.eval_exact(w) == tree.evaluate(w) == wmc_brute_force(f, w)`
@@ -41,60 +42,32 @@
 use crate::circuit::{Circuit, Compiler, Node, Valuation};
 use crate::cnf::Var;
 use crate::wmc::WeightFn;
-use gfomc_arith::{Rat64, Rational};
+use gfomc_arith::Rational;
 use std::collections::HashMap;
 
-/// One gate value of the hybrid exact pass: machine words while every
-/// intermediate fits ([`Rat64`]), exact bignum from the first overflow on.
-/// Both forms are in lowest terms, so materializing a lane via
-/// [`LaneVal::to_rational`] is bit-identical to an all-bignum evaluation.
-#[derive(Clone, Debug)]
-pub(crate) enum LaneVal {
-    /// Machine-word value (the common case: no heap traffic at all).
-    S(Rat64),
-    /// Spilled to exact bignum.
-    B(Rational),
-}
-
-impl LaneVal {
-    /// The exact value, materialized (canonical lowest terms either way).
-    #[inline]
-    pub(crate) fn to_rational(&self) -> Rational {
-        match self {
-            LaneVal::S(r) => Rational::from(*r),
-            LaneVal::B(r) => r.clone(),
-        }
-    }
-}
-
 /// One distinct variable's weight, resolved once per weighting: the exact
-/// probability, its complement (computed once here instead of once per
-/// decision gate), and their machine-word forms when they fit.
+/// probability and its complement (computed once here instead of once per
+/// decision gate). The weight type of the exact [`Lane`].
 #[derive(Clone, Debug)]
-pub(crate) struct SlotW {
+pub struct SlotW {
     pub(crate) p: Rational,
     pub(crate) pc: Rational,
-    pub(crate) ps: Option<Rat64>,
-    pub(crate) pcs: Option<Rat64>,
 }
 
 impl SlotW {
+    /// Resolves probability `p`: stores it with `1 − p`.
     pub(crate) fn new(p: Rational) -> SlotW {
-        let pc = p.complement();
         SlotW {
-            ps: p.to_rat64(),
-            pcs: pc.to_rat64(),
+            pc: p.complement(),
             p,
-            pc,
         }
     }
 }
 
 /// A value lane of the gate kernel: the arithmetic one gate formula
 /// needs, and nothing else — any commutative semiring with a Shannon
-/// gate. Here: the hybrid exact lane (machine-word rationals that spill
-/// to bignum); `gfomc-poly` adds the polynomial lane of the
-/// arithmetization. A lane runs through [`FlatCircuit::forward`].
+/// gate. Here: exact [`Rational`]s; `gfomc-poly` adds the polynomial lane
+/// of the arithmetization. A lane runs through [`FlatCircuit::forward`].
 pub trait Lane {
     /// One distinct variable's resolved weight.
     type Weight;
@@ -110,57 +83,39 @@ pub trait Lane {
     fn decide(w: &Self::Weight, hi: &Self, lo: &Self) -> Self;
 }
 
-/// Exact arithmetic in machine words unless an operand already spilled or
-/// an op overflows. A Product stops at its first zero factor.
-impl Lane for LaneVal {
+/// Exact arithmetic: word-sized values are held inline and run in machine
+/// registers, and an op spills to bignum only when it overflows (see
+/// [`Rational`]). A Product stops at its first zero factor.
+impl Lane for Rational {
     type Weight = SlotW;
 
     #[inline]
     fn constant(one: bool) -> Self {
-        LaneVal::S(if one { Rat64::ONE } else { Rat64::ZERO })
+        if one {
+            Rational::one()
+        } else {
+            Rational::zero()
+        }
     }
 
     #[inline]
     fn leaf(w: &SlotW) -> Self {
-        match w.ps {
-            Some(r) => LaneVal::S(r),
-            None => LaneVal::B(w.p.clone()),
-        }
+        w.p.clone()
     }
 
     #[inline]
     fn times(&self, kid: &Self) -> Self {
-        match (self, kid) {
-            (LaneVal::S(x), LaneVal::S(y)) => match x.checked_mul(*y) {
-                Some(r) => LaneVal::S(r),
-                None => LaneVal::B(&Rational::from(*x) * &Rational::from(*y)),
-            },
-            (a, b) => LaneVal::B(&a.to_rational() * &b.to_rational()),
-        }
+        self * kid
     }
 
     #[inline]
     fn absorbing(&self) -> bool {
-        match self {
-            LaneVal::S(r) => r.is_zero(),
-            LaneVal::B(r) => r.is_zero(),
-        }
+        self.is_zero()
     }
 
     #[inline]
     fn decide(w: &SlotW, hi: &Self, lo: &Self) -> Self {
-        if let (Some(p), Some(pc), LaneVal::S(h), LaneVal::S(l)) = (w.ps, w.pcs, hi, lo) {
-            if let Some(t1) = p.checked_mul(*h) {
-                if let Some(t2) = pc.checked_mul(*l) {
-                    if let Some(r) = t1.checked_add(t2) {
-                        return LaneVal::S(r);
-                    }
-                }
-            }
-        }
-        let hi = hi.to_rational();
-        let lo = lo.to_rational();
-        LaneVal::B(&(&w.p * &hi) + &(&w.pc * &lo))
+        &(&w.p * hi) + &(&w.pc * lo)
     }
 }
 
@@ -346,14 +301,14 @@ impl FlatCircuit {
     }
 
     /// `Pr(F, w)` exactly, reusing the arena's slabs across weightings.
-    /// Bit-identical to [`Circuit::evaluate`] on the tree form; only the
-    /// root value is materialized as a [`Rational`] — interior gates stay
-    /// in the hybrid machine-word lane.
+    /// Bit-identical to [`Circuit::evaluate`] on the tree form. Once the
+    /// arena has grown, a pass whose values all fit machine words makes
+    /// no heap allocation.
     pub fn eval_exact_with<W: WeightFn>(&self, w: &W, arena: &mut EvalArena) -> Rational {
         arena.slots.clear();
         self.resolve(w, &mut arena.slots);
         self.forward(&arena.slots, &mut arena.cells);
-        arena.cells[self.root as usize].to_rational()
+        arena.cells[self.root as usize].clone()
     }
 
     /// `Pr(F, w)` exactly, with a throwaway arena.
@@ -374,7 +329,7 @@ impl FlatCircuit {
     pub fn evaluate_all_with<W: WeightFn>(&self, w: &W, arena: &mut EvalArena) -> Valuation {
         self.eval_exact_with(w, arena);
         Valuation {
-            values: arena.cells.iter().map(LaneVal::to_rational).collect(),
+            values: arena.cells.clone(),
         }
     }
 
@@ -447,15 +402,15 @@ impl ReverseTopology {
 /// keeps the capacity across weightings. The slabs:
 ///
 /// * `slots` — the weighting resolved once per *distinct variable*
-///   (weight, complement, and their machine-word forms), so the per-gate
-///   loop indexes a dense slice instead of re-querying the weight function
-///   at every leaf and decision;
-/// * `cells` — one hybrid exact value per gate (machine words until an op
-///   overflows, exact bignum after).
+///   (weight and complement), so the per-gate loop indexes a dense slice
+///   instead of re-querying the weight function at every leaf and
+///   decision;
+/// * `cells` — one exact value per gate (inline machine words while it
+///   fits, a boxed bignum after).
 #[derive(Clone, Debug, Default)]
 pub struct EvalArena {
     slots: Vec<SlotW>,
-    cells: Vec<LaneVal>,
+    cells: Vec<Rational>,
 }
 
 impl EvalArena {

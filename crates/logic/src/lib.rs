@@ -38,7 +38,7 @@ pub use circuit::{Circuit, Compiler, Node, NodeId, Valuation};
 pub use cnf::{Clause, Cnf, Var};
 pub use cofactor::{BitCnf, VarIndex};
 pub use dnf::Dnf;
-pub use flat::{EvalArena, FlatCircuit, Lane, Op, ReverseTopology};
+pub use flat::{EvalArena, FlatCircuit, Lane, Op, ReverseTopology, SlotW};
 pub use priced::{PricedCircuit, UpdateStats};
 pub use wmc::{wmc, wmc_brute_force, UniformWeight, WeightFn, WeightsFromFn};
 

@@ -10,7 +10,7 @@
 //! * **Incremental re-pricing.** A d-DNNF-style circuit is a DAG, so a
 //!   change to one variable's weight can only move the values of that
 //!   variable's gates and their ancestors. [`PricedCircuit`] persists
-//!   one exact hybrid lane ([`Rational`]-backed) per gate, plus a reverse
+//!   one exact [`Rational`] per gate, plus a reverse
 //!   topology (parent lists mirroring the packed `children` vector), and
 //!   [`PricedCircuit::update_weight`] re-prices only the dirty cone —
 //!   ascending gate order via a min-heap, so every gate is recomputed at
@@ -18,7 +18,9 @@
 //!   Values are **bit-identical** to a fresh full evaluation by
 //!   construction: a re-priced gate goes through the very gate kernel the
 //!   forward pass runs (over the persisted children), and propagation
-//!   stops only where the exact lane, hybrid tag included, is unchanged.
+//!   stops only where the exact value is unchanged (a `Rational` is
+//!   inline exactly when it fits a machine word, so equal values also
+//!   share their representation).
 //!   When the dirty frontier grows past half the
 //!   circuit the update abandons the heap and falls back to the plain
 //!   full pass — same values, better constant.
@@ -41,7 +43,7 @@
 //! ranking, and what-if bands on top.
 
 use crate::cnf::Var;
-use crate::flat::{FlatCircuit, LaneVal, Op, ReverseTopology, SlotW, NO_SLOT};
+use crate::flat::{FlatCircuit, Op, ReverseTopology, SlotW, NO_SLOT};
 use gfomc_arith::Rational;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -59,18 +61,6 @@ pub struct UpdateStats {
     pub full_pass: bool,
 }
 
-/// Exact lane equality: same hybrid tag *and* same value. Distinguishing
-/// tags keeps re-priced state bit-identical to a fresh forward pass —
-/// a gate that a full pass would hold as a machine word must not be left
-/// as an equal-valued bignum (or vice versa) by an incremental update.
-fn lane_eq(a: &LaneVal, b: &LaneVal) -> bool {
-    match (a, b) {
-        (LaneVal::S(x), LaneVal::S(y)) => x == y,
-        (LaneVal::B(x), LaneVal::B(y)) => x == y,
-        _ => false,
-    }
-}
-
 /// A [`FlatCircuit`] with its valuation held live: per-gate exact lanes,
 /// current per-slot weights, a reverse
 /// topology for dirty-path propagation, and a slot→gates index seeding
@@ -85,10 +75,10 @@ pub struct PricedCircuit {
     slot_gates: Vec<u32>,
     /// Distinct-variable → slot (inverse of `FlatCircuit::vars`).
     slot_of: HashMap<Var, u32>,
-    /// Current weights, resolved per slot (weight + complement + word forms).
+    /// Current weights, resolved per slot (weight + complement).
     slots: Vec<SlotW>,
-    /// The persisted upward pass: one exact hybrid lane per gate.
-    cells: Vec<LaneVal>,
+    /// The persisted upward pass: one exact value per gate.
+    cells: Vec<Rational>,
     /// Min-heap of dirty gate ids (scratch, kept to reuse the allocation).
     dirty: BinaryHeap<Reverse<u32>>,
     /// Membership mask for `dirty` (a gate is pushed at most once).
@@ -190,14 +180,14 @@ impl PricedCircuit {
     }
 
     /// `Pr(F, w)` under the current weights — just a read of the
-    /// persisted root lane.
+    /// persisted root value.
     pub fn value(&self) -> Rational {
-        self.cells[self.circuit.root() as usize].to_rational()
+        self.cells[self.circuit.root() as usize].clone()
     }
 
     /// Exact value of an arbitrary gate under the current weights.
     pub fn gate_value(&self, gate: u32) -> Rational {
-        self.cells[gate as usize].to_rational()
+        self.cells[gate as usize].clone()
     }
 
     /// Sets slot `slot`'s weight to `p` and re-prices the dirty cone.
@@ -205,10 +195,9 @@ impl PricedCircuit {
     /// Only ancestors of the slot's gates are visited, in ascending gate
     /// id (children strictly before parents, so each gate is recomputed
     /// at most once, after all its changed inputs). A gate whose exact
-    /// lane comes out unchanged (same value *and* same hybrid tag) stops
-    /// propagation. If more than half the circuit goes dirty the update
-    /// falls back to a plain full pass. Either way the persisted state
-    /// afterwards is bit-identical (exact lanes and hybrid tags) to a
+    /// value comes out unchanged stops propagation. If more than half the
+    /// circuit goes dirty the update falls back to a plain full pass.
+    /// Either way the persisted state afterwards is bit-identical to a
     /// fresh [`PricedCircuit::new`] under the updated weights.
     ///
     /// # Panics
@@ -252,14 +241,14 @@ impl PricedCircuit {
                 };
             }
             // The forward pass's own gate kernel over the persisted
-            // children: bit-identical (hybrid tags included) to the same
-            // gate of a fresh forward pass.
-            let lane = self
+            // children: bit-identical to the same gate of a fresh forward
+            // pass.
+            let value = self
                 .circuit
                 .price(gi, &self.slots, |k| &self.cells[k as usize]);
             repriced += 1;
-            let changed = !lane_eq(&lane, &self.cells[gi]);
-            self.cells[gi] = lane;
+            let changed = value != self.cells[gi];
+            self.cells[gi] = value;
             if changed {
                 for &par in self.rev.parents(g) {
                     let pi = par as usize;
@@ -310,8 +299,7 @@ impl PricedCircuit {
                     suffix.clear();
                     suffix.resize(kids.len() + 1, Rational::one());
                     for i in (0..kids.len()).rev() {
-                        let v = self.cells[kids[i] as usize].to_rational();
-                        suffix[i] = &v * &suffix[i + 1];
+                        suffix[i] = &self.cells[kids[i] as usize] * &suffix[i + 1];
                     }
                     let mut prefix = Rational::one();
                     for (i, &k) in kids.iter().enumerate() {
@@ -321,7 +309,7 @@ impl PricedCircuit {
                             let ki = k as usize;
                             d[ki] = &d[ki] + &term;
                         }
-                        prefix = &prefix * &self.cells[k as usize].to_rational();
+                        prefix = &prefix * &self.cells[k as usize];
                         if prefix.is_zero() {
                             // Every later partial has this zero prefix.
                             break;
@@ -336,7 +324,7 @@ impl PricedCircuit {
                     let dl = &d[g] * &self.slots[s].pc;
                     d[hi] = &d[hi] + &dh;
                     d[lo] = &d[lo] + &dl;
-                    let diff = &self.cells[hi].to_rational() - &self.cells[lo].to_rational();
+                    let diff = &self.cells[hi] - &self.cells[lo];
                     if !diff.is_zero() {
                         let term = &d[g] * &diff;
                         out[s] = &out[s] + &term;

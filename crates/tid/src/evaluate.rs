@@ -46,7 +46,7 @@ pub fn generalized_model_count(q: &BipartiteQuery, tid: &Tid) -> Natural {
         "model count should be integral: got {scaled}"
     );
     assert!(!scaled.is_negative());
-    scaled.numer().magnitude().clone()
+    scaled.numer().into_magnitude()
 }
 
 /// Expected number of uncertain tuples in the lineage support — a helper for
