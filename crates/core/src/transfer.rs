@@ -35,7 +35,6 @@ pub fn transfer_matrix(q: &BipartiteQuery, p: usize) -> Matrix<Rational> {
         .vars
         .lookup(&Tuple::R(1))
         .expect("R(v) must appear in a Type-I block lineage");
-    let weights = lin.vars.weights();
     let flat = Circuit::compile(&lin.cnf).flatten();
     let endpoint = |on: bool| {
         if on {
@@ -55,7 +54,7 @@ pub fn transfer_matrix(q: &BipartiteQuery, p: usize) -> Matrix<Rational> {
                 } else if v == var_v {
                     endpoint(b)
                 } else {
-                    weights[&v].clone()
+                    lin.vars.weight(v).clone()
                 }
             });
             flat.eval_exact_with(&w, &mut arena)

@@ -69,11 +69,7 @@ use std::time::Instant;
 impl fmt::Display for Route {
     /// Lower-case route tag: `lifted`, `compiled`, or `sampled`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Route::Lifted => "lifted",
-            Route::Compiled => "compiled",
-            Route::Sampled => "sampled",
-        })
+        f.write_str(self.as_str())
     }
 }
 
@@ -490,7 +486,8 @@ impl FromStr for EvalRequest {
         let mut left: Option<Vec<u32>> = None;
         let mut right: Option<Vec<u32>> = None;
         let mut default: Option<Rational> = None;
-        let mut tuples: Vec<(Tuple, Rational)> = Vec::new();
+        // Each tuple with the (1-based) number of the line that listed it.
+        let mut tuples: Vec<(Tuple, Rational, usize)> = Vec::new();
         let mut budget = Budget::default();
         let mut samples: Option<u64> = None;
         let mut mode: Option<SampleMode> = None;
@@ -561,7 +558,7 @@ impl FromStr for EvalRequest {
                     let tuple = parse_tuple(t)?;
                     let prob = parse_prob(p)
                         .ok_or_else(|| at(&format!("probability '{p}' not in [0, 1]")))?;
-                    tuples.push((tuple, prob));
+                    tuples.push((tuple, prob, lineno + 1));
                 }
                 "max_circuit_cost" => {
                     budget.max_circuit_cost = rest
@@ -636,7 +633,7 @@ impl FromStr for EvalRequest {
             right.iter().copied(),
             default.unwrap_or_else(Rational::one),
         );
-        for (t, p) in tuples {
+        for (t, p, line) in tuples {
             // Membership is checked here (with a typed error) because
             // `Tid::set_prob` asserts — a panic a network server must
             // never let a request body trigger.
@@ -647,6 +644,12 @@ impl FromStr for EvalRequest {
             };
             if !in_domain {
                 return Err(malformed(format!("tuple {t} outside the declared domains")));
+            }
+            // A repeated tuple would silently overwrite the first value.
+            if tid.is_explicit(&t) {
+                return Err(malformed(format!(
+                    "line {line}: duplicate 'tuple {t}' line"
+                )));
             }
             tid.set_prob(t, p);
         }
@@ -721,13 +724,9 @@ impl Engine {
         }
         tr.total_nanos = parse_nanos + start.elapsed().as_nanos() as u64;
         self.requests.inc();
-        let registry = self.registry();
-        let route_label = routed.route.to_string();
-        registry
-            .histogram("engine_request_nanos", &[("route", &route_label)])
-            .record(tr.total_nanos);
+        self.request_histogram(routed.route).record(tr.total_nanos);
         if let Some(tenant) = &req.tenant {
-            registry
+            self.registry()
                 .histogram("engine_tenant_request_nanos", &[("tenant", tenant)])
                 .record(tr.total_nanos);
         }
@@ -822,6 +821,32 @@ mod tests {
         assert!(matches!(
             bad_trace.parse::<EvalRequest>(),
             Err(RequestParseError::Malformed(m)) if m.contains("trace")
+        ));
+    }
+
+    #[test]
+    fn a_repeated_tuple_line_is_rejected_naming_the_line() {
+        let base = "query R(x0) v S0(x0,y0) & S0(x0,y0) v T(y0)\nleft 0\nright 1";
+        // The second value must not silently win: the error names line 5.
+        let body = format!("{base}\ntuple R(u0) 1/2\ntuple R(u0) 1/3");
+        assert_eq!(
+            body.parse::<EvalRequest>(),
+            Err(RequestParseError::Malformed(
+                "line 5: duplicate 'tuple R(u0)' line".into()
+            ))
+        );
+        // Even with the same value, and in a different spelling.
+        let same = format!("{base}\ntuple S0(u0,v1) 1/2\n\ntuple S0(u0, v1) 1/2");
+        assert!(matches!(
+            same.parse::<EvalRequest>(),
+            Err(RequestParseError::Malformed(m)) if m == "line 6: duplicate 'tuple S0(u0,v1)' line"
+        ));
+        // Distinct tuples are still accepted, and the wire answers 400-class.
+        let ok = format!("{base}\ntuple R(u0) 1/2\ntuple T(v1) 1/2");
+        assert!(ok.parse::<EvalRequest>().is_ok());
+        assert!(matches!(
+            Engine::new().evaluate_wire(&body),
+            Err(EvalError::Parse(RequestParseError::Malformed(_)))
         ));
     }
 

@@ -65,7 +65,7 @@ pub use gfomc_obs::{HistogramSnapshot, Registry, SlowLog, Trace};
 
 use gfomc_arith::Rational;
 use gfomc_logic::{Circuit, Cnf, EvalArena, FlatCircuit, WeightsFromFn};
-use gfomc_obs::Counter;
+use gfomc_obs::{Counter, Histogram};
 use gfomc_pool::WorkerPool;
 use gfomc_query::BipartiteQuery;
 use gfomc_safety::{circuit_cost_estimate, CircuitCostEstimate};
@@ -74,7 +74,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default number of compiled circuits the engine keeps hot.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
@@ -211,6 +211,11 @@ pub struct Engine {
     /// slowest requests; see [`EngineBuilder::slow_threshold_nanos`]).
     slow_log: Arc<SlowLog>,
     pub(crate) requests: Arc<Counter>,
+    /// The `engine_request_nanos{route}` histograms, by [`Route::index`].
+    /// Each is registered on its route's first request, so `/metrics`
+    /// lists only routes that answered, and resolved once per engine, so
+    /// later requests record without touching the registry.
+    request_nanos: [OnceLock<Arc<Histogram>>; 3],
     compiled: Arc<Counter>,
     nodes: Arc<Counter>,
     decisions: Arc<Counter>,
@@ -370,6 +375,7 @@ impl EngineBuilder {
         let route = |name: &str| registry.counter("engine_route_total", &[("route", name)]);
         Engine {
             requests: counter("engine_requests_total"),
+            request_nanos: Default::default(),
             compiled: counter("engine_compiled_circuits_total"),
             nodes: counter("engine_circuit_gates_total"),
             decisions: counter("engine_circuit_decisions_total"),
@@ -639,6 +645,14 @@ impl Engine {
         }
     }
 
+    /// The `engine_request_nanos` histogram of `route`.
+    pub(crate) fn request_histogram(&self, route: Route) -> &Histogram {
+        self.request_nanos[route.index()].get_or_init(|| {
+            self.registry
+                .histogram("engine_request_nanos", &[("route", route.as_str())])
+        })
+    }
+
     /// Bumps one route counter — the router's bookkeeping.
     pub(crate) fn count_route(&self, route: router::Route) {
         let counter = match route {
@@ -793,7 +807,7 @@ impl Compiled {
             weights
                 .get(&self.vars.tuple_of(v))
                 .cloned()
-                .unwrap_or_else(|| self.vars.weights()[&v].clone())
+                .unwrap_or_else(|| self.vars.weight(v).clone())
         });
         self.circuit.eval_exact_with(&w, arena)
     }

@@ -282,6 +282,23 @@ pub enum Route {
     Sampled,
 }
 
+impl Route {
+    /// Lower-case route tag: `lifted`, `compiled`, or `sampled` (the
+    /// wire, trace and metric-label spelling).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Route::Lifted => "lifted",
+            Route::Compiled => "compiled",
+            Route::Sampled => "sampled",
+        }
+    }
+
+    /// The route's position in declaration order (`0..3`).
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// The tagged outcome: an exact probability or a sampler estimate. The tag
 /// is the API contract — downstream code must match, so an approximation
 /// can never silently masquerade as an exact answer.
@@ -440,7 +457,7 @@ impl Engine {
     ) -> Routed {
         let mut mark = Instant::now();
         // Reads the clock, closes the current phase, and opens the next.
-        let mut span = |tr: &mut Trace, name: &str| {
+        let mut span = |tr: &mut Trace, name: &'static str| {
             let now = Instant::now();
             tr.push_span(name, now.duration_since(mark).as_nanos() as u64);
             mark = now;
@@ -449,7 +466,7 @@ impl Engine {
             span(tr, "route");
             let p = lifted_probability(q, tid).expect("safe query must lift");
             span(tr, "evaluate");
-            tr.route = Some(Route::Lifted.to_string());
+            tr.route = Some(Route::Lifted.as_str().into());
             self.count_route(Route::Lifted);
             return Routed {
                 result: exact_answer(p, budget),
@@ -481,7 +498,7 @@ impl Engine {
                 let est = self.sample(&lin, budget, tr);
                 span(tr, "sample");
                 tr.samples = Some(est.samples);
-                tr.route = Some(Route::Sampled.to_string());
+                tr.route = Some(Route::Sampled.as_str().into());
                 self.count_route(Route::Sampled);
                 return Routed {
                     result: est.into(),
@@ -496,7 +513,7 @@ impl Engine {
         self.count_route(Route::Compiled);
         let p = ROUTE_ARENA.with(|arena| compiled.evaluate_db_with(&mut arena.borrow_mut()));
         span(tr, "evaluate");
-        tr.route = Some(Route::Compiled.to_string());
+        tr.route = Some(Route::Compiled.as_str().into());
         Routed {
             result: exact_answer(p, budget),
             route: Route::Compiled,

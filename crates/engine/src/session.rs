@@ -188,7 +188,7 @@ impl Compiled {
                 weights
                     .get(&self.vars.tuple_of(v))
                     .cloned()
-                    .unwrap_or_else(|| self.vars.weights()[&v].clone())
+                    .unwrap_or_else(|| self.vars.weight(v).clone())
             })
             .collect();
         let tuples = self
@@ -267,7 +267,7 @@ impl Session {
                 .off_circuit
                 .get(&t)
                 .cloned()
-                .unwrap_or_else(|| self.vars.weights()[&self.vars.lookup(&t).unwrap()].clone())),
+                .unwrap_or_else(|| self.vars.weight(self.vars.lookup(&t).unwrap()).clone())),
         }
     }
 
@@ -1348,6 +1348,17 @@ mod tests {
             "session open\nvalue\n".parse::<SessionRequest>(),
             Err(SessionParseError::Spec(_))
         ));
+        // A spec may list a tuple once; `update` lines may repeat one.
+        let spec = "session open\nquery R(x0) v S0(x0,y0) & S0(x0,y0) v T(y0)\n\
+                    left 0\nright 1\ntuple R(u0) 1/2\n";
+        assert!(matches!(
+            format!("{spec}tuple R(u0) 1/3\n").parse::<SessionRequest>(),
+            Err(SessionParseError::Spec(RequestParseError::Malformed(m)))
+                if m.contains("duplicate 'tuple R(u0)' line")
+        ));
+        assert!(format!("{spec}update R(u0) 1/3\nupdate R(u0) 1/4\n")
+            .parse::<SessionRequest>()
+            .is_ok());
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //!   a 3×3 block, tuple weights in eighths, its circuit already cached)
 //!   stays within a fixed allocation budget: parse, ground, cache lookup,
 //!   flat evaluation and serialization together.
+//! * Parsing such a request's query, minimization and redundancy removal
+//!   included, allocates a few times per clause, not per homomorphism
+//!   candidate.
 //! * Pricing a cached circuit at the paper's ½ weights allocates nothing
 //!   once the arena has grown: every weight, gate value and the root fit
 //!   one machine word each, and word-sized rationals live inline.
@@ -16,6 +19,7 @@ use gfomc_arith::Rational;
 use gfomc_engine::workload::{random_block_tid, random_query, unsafe_block_preset, SafetyTarget};
 use gfomc_engine::{Engine, EvalRequest};
 use gfomc_logic::{Circuit, EvalArena, UniformWeight};
+use gfomc_query::parse_query;
 use gfomc_safety::circuit_cost_estimate;
 use gfomc_tid::lineage;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -68,11 +72,17 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 /// Warm `eval_hot` requests allocate at most this many times each on
 /// average (1950 with two heap vectors per rational; 1257 with word-sized
-/// rationals inline). What remains is mostly the bignum path — lineages
-/// past about 21 variables at weights in eighths outgrow a 64-bit
-/// denominator, and each bignum gcd allocates per step — and query
-/// minimization while parsing.
-const WARM_EVAL_BUDGET: u64 = 1300;
+/// rationals inline; under 800 once query minimization, grounding and the
+/// request telemetry stopped allocating per candidate, tuple and span).
+/// What remains is mostly the bignum path: lineages past about 21
+/// variables at weights in eighths outgrow a 64-bit denominator, and each
+/// bignum gcd allocates per step.
+const WARM_EVAL_BUDGET: u64 = 900;
+
+/// `parse_query` on an `eval_hot` query allocates at most this many times
+/// on average (311 when every homomorphism candidate cloned its clause
+/// and its variable sets were tree sets).
+const QUERY_PARSE_BUDGET: u64 = 40;
 
 /// `count` bodies drawn as the load benchmark's `eval_hot` draws them:
 /// unsafe 3×3 shapes from its fixed shape stream whose lineages are
@@ -118,6 +128,25 @@ fn warm_eval_hot_request_stays_within_its_allocation_budget() {
     assert!(
         mean <= WARM_EVAL_BUDGET,
         "a warm eval_hot request allocates {mean} times on average (budget {WARM_EVAL_BUDGET})"
+    );
+}
+
+#[test]
+fn parsing_an_eval_hot_query_allocates_little() {
+    let queries: Vec<String> = eval_hot_bodies(64)
+        .iter()
+        .map(|body| body.parse::<EvalRequest>().unwrap().query.to_string())
+        .collect();
+    let mut total = 0u64;
+    for text in &queries {
+        let (n, q) = allocations(|| parse_query(text).expect("query parses"));
+        assert_eq!(q.to_string(), *text, "parsing is not a round trip");
+        total += n;
+    }
+    let mean = total / queries.len() as u64;
+    assert!(
+        mean <= QUERY_PARSE_BUDGET,
+        "parsing an eval_hot query allocates {mean} times on average (budget {QUERY_PARSE_BUDGET})"
     );
 }
 

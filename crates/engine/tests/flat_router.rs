@@ -138,7 +138,11 @@ fn incremental_updates_reprice_less_than_the_whole_preset_lineage() {
     let (lin, tree) = preset_lineage();
     let flat = Arc::new(tree.flatten());
     let mut current = lin.vars.weights().clone();
-    let base: Vec<Rational> = flat.vars().iter().map(|v| current[v].clone()).collect();
+    let base: Vec<Rational> = flat
+        .vars()
+        .iter()
+        .map(|v| current[v.0 as usize].clone())
+        .collect();
     let mut priced = PricedCircuit::new(Arc::clone(&flat), &base);
     assert_eq!(priced.value(), tree.evaluate(&current));
     // Four passes over every slot with pass- and slot-dependent weights,
@@ -156,8 +160,9 @@ fn incremental_updates_reprice_less_than_the_whole_preset_lineage() {
         let stats = priced.update_weight(*slot, w.clone());
         // A step that repeats a slot's weight re-prices nothing, so only
         // real changes count toward the mean.
-        let old = current.insert(flat.vars()[*slot as usize], w.clone());
-        if old.as_ref() != Some(w) {
+        let var = flat.vars()[*slot as usize];
+        let old = std::mem::replace(&mut current[var.0 as usize], w.clone());
+        if old != *w {
             repriced += stats.repriced;
             changes += 1;
         }

@@ -97,7 +97,8 @@ proptest! {
                 .vars
                 .weights()
                 .iter()
-                .map(|(&var, p)| (var, p.clone()))
+                .enumerate()
+                .map(|(i, p)| (Var(i as u32), p.clone()))
                 .collect();
             prop_assert_eq!(via_circuit, wmc_brute_force(&restricted, &weights));
         }

@@ -68,7 +68,7 @@ impl SlotW {
 /// needs, and nothing else — any commutative semiring with a Shannon
 /// gate. Here: exact [`Rational`]s; `gfomc-poly` adds the polynomial lane
 /// of the arithmetization. A lane runs through [`FlatCircuit::forward`].
-pub trait Lane {
+pub trait Lane: Clone {
     /// One distinct variable's resolved weight.
     type Weight;
     /// The constant gate: `1` when `one`, else `0`.
@@ -115,7 +115,9 @@ impl Lane for Rational {
 
     #[inline]
     fn decide(w: &SlotW, hi: &Self, lo: &Self) -> Self {
-        &(&w.p * hi) + &(&w.pc * lo)
+        // A branch worth 1 contributes its weight as is: `p · 1 = p`.
+        let term = |p: &Rational, x: &Rational| if x.is_one() { p.clone() } else { p * x };
+        &term(&w.p, hi) + &term(&w.pc, lo)
     }
 }
 
@@ -271,12 +273,17 @@ impl FlatCircuit {
             Op::True => L::constant(true),
             Op::Leaf => L::leaf(&w[self.var_slot[g] as usize]),
             Op::Product => {
-                let mut acc = L::constant(true);
-                for &k in self.kids(g) {
-                    acc = acc.times(val(k));
+                // Start from the first factor: `1 · x` is `x`, so the
+                // multiplication by the unit is skipped, not changed.
+                let Some((first, rest)) = self.kids(g).split_first() else {
+                    return L::constant(true);
+                };
+                let mut acc = val(*first).clone();
+                for &k in rest {
                     if acc.absorbing() {
                         break;
                     }
+                    acc = acc.times(val(k));
                 }
                 acc
             }

@@ -33,6 +33,15 @@ impl WeightFn for HashMap<Var, Rational> {
     }
 }
 
+/// Weights indexed by variable: `v` has weight `self[v.0]`.
+impl WeightFn for Vec<Rational> {
+    fn weight(&self, v: Var) -> Rational {
+        self.get(v.0 as usize)
+            .unwrap_or_else(|| panic!("no weight for variable {v:?}"))
+            .clone()
+    }
+}
+
 /// A constant weight for every variable (e.g. the all-½ point used
 /// throughout §3 of the paper).
 pub struct UniformWeight(pub Rational);

@@ -27,6 +27,7 @@
 //! evaluation, so results are bit-identical with telemetry on or off —
 //! the invariant the engine's trace-identity test asserts.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::str::FromStr;
@@ -454,11 +455,13 @@ pub struct Trace {
     /// `sample` in place of `evaluate`), and `open` / `update` /
     /// `explain` on session requests (the latter two summed across a
     /// request's ops; per-op latencies go to the `engine_update_nanos` /
-    /// `engine_explain_nanos` histograms instead).
-    pub spans: Vec<(String, u64)>,
+    /// `engine_explain_nanos` histograms instead). Names recorded by the
+    /// engine are borrowed `'static` words, so recording allocates
+    /// nothing per span; a trace parsed back from text owns its names.
+    pub spans: Vec<(Cow<'static, str>, u64)>,
     /// The route taken (`lifted` / `compiled` / `sampled`, or `session`
     /// for stateful session requests).
-    pub route: Option<String>,
+    pub route: Option<Cow<'static, str>>,
     /// Compiled route: whether the circuit came from the cache.
     pub cache_hit: Option<bool>,
     /// Unsafe queries: the flat-gate cost estimate that priced the
@@ -479,12 +482,12 @@ impl Trace {
     }
 
     /// Appends one timed span. `name` must be a single word.
-    pub fn push_span(&mut self, name: &str, nanos: u64) {
+    pub fn push_span(&mut self, name: &'static str, nanos: u64) {
         debug_assert!(
             !name.is_empty() && !name.contains(char::is_whitespace),
             "span names must be single words: {name:?}"
         );
-        self.spans.push((name.to_string(), nanos));
+        self.spans.push((Cow::Borrowed(name), nanos));
     }
 
     /// The duration of the first span named `name`, if recorded.
@@ -555,15 +558,16 @@ impl FromStr for Trace {
                     let (name, nanos) = rest
                         .split_once(char::is_whitespace)
                         .ok_or_else(|| TraceParseError(format!("bad span line '{line}'")))?;
-                    trace
-                        .spans
-                        .push((name.to_string(), parse_u64("span nanos", nanos.trim())?));
+                    trace.spans.push((
+                        Cow::Owned(name.to_string()),
+                        parse_u64("span nanos", nanos.trim())?,
+                    ));
                 }
                 "route" => {
                     if rest.is_empty() || rest.contains(char::is_whitespace) {
                         return Err(TraceParseError(format!("bad route '{rest}'")));
                     }
-                    if trace.route.replace(rest.to_string()).is_some() {
+                    if trace.route.replace(Cow::Owned(rest.to_string())).is_some() {
                         return Err(dup("route"));
                     }
                 }

@@ -55,6 +55,13 @@ impl CVar {
     pub fn is_y(&self) -> bool {
         matches!(self, CVar::Y(_))
     }
+
+    /// The index `i` of `x_i` or `y_i`.
+    pub fn index(&self) -> u8 {
+        match self {
+            CVar::X(i) | CVar::Y(i) => *i,
+        }
+    }
 }
 
 impl fmt::Display for CVar {
@@ -92,6 +99,22 @@ impl Atom {
         match self {
             Atom::R(v) | Atom::T(v) => vec![*v],
             Atom::S(_, x, y) => vec![*x, *y],
+        }
+    }
+
+    /// The `x`-argument, if any (the variable of `R`, the first of `S`).
+    pub fn x_var(&self) -> Option<CVar> {
+        match self {
+            Atom::R(x) | Atom::S(_, x, _) => Some(*x),
+            Atom::T(_) => None,
+        }
+    }
+
+    /// The `y`-argument, if any (the variable of `T`, the second of `S`).
+    pub fn y_var(&self) -> Option<CVar> {
+        match self {
+            Atom::T(y) | Atom::S(_, _, y) => Some(*y),
+            Atom::R(_) => None,
         }
     }
 

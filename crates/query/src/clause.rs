@@ -10,10 +10,24 @@
 //! * a clause is *minimized* if every homomorphism `C → C` is a bijection;
 //!   the core is computed by greedily dropping atoms `a` such that
 //!   `C → C∖{a}` exists.
+//!
+//! Every clause is stored in canonical form: atoms sorted and
+//! deduplicated, the variables of each sort named `x0, x1, …` and
+//! `y0, y1, …` without gaps, at most [`MAX_SORT_VARS`] of each. The
+//! searches lean on it. A candidate homomorphism is a fixed-size array
+//! from variable indices to target indices, and each mapped atom is looked
+//! up in the target's sorted atom slice by binary search, so neither the
+//! search nor minimization allocates per candidate. A clause with at most
+//! one variable per sort is its own core (the identity is its only
+//! sort-preserving map into itself), so minimization returns it at once.
 
 use crate::atom::{Atom, CVar, Pred};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+
+/// The most variables of one sort a clause may hold. Definition 2.3's
+/// shapes need far fewer; canonicalization tries all `n!·m!` renamings.
+pub const MAX_SORT_VARS: usize = 6;
 
 /// A universally quantified clause (disjunction of atoms).
 ///
@@ -24,79 +38,207 @@ pub struct Clause {
     atoms: Vec<Atom>,
 }
 
+/// A set of variable indices (`0..=255`, the parser's range).
+#[derive(Clone, Copy, Default)]
+struct IndexSet([u64; 4]);
+
+impl IndexSet {
+    fn of(vars: impl Iterator<Item = CVar>) -> IndexSet {
+        let mut set = IndexSet::default();
+        for v in vars {
+            let i = v.index();
+            set.0[usize::from(i >> 6)] |= 1 << (i & 63);
+        }
+        set
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The members in increasing order.
+    fn iter(self) -> impl Iterator<Item = u8> {
+        (0..4u8).flat_map(move |w| {
+            let mut bits = self.0[usize::from(w)];
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as u8;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
+    }
+
+    /// The members in increasing order, in a fixed array (at most
+    /// [`MAX_SORT_VARS`] of them).
+    fn members(self) -> ([u8; MAX_SORT_VARS], usize) {
+        let mut out = [0; MAX_SORT_VARS];
+        let mut n = 0;
+        for i in self.iter() {
+            out[n] = i;
+            n += 1;
+        }
+        (out, n)
+    }
+}
+
+/// The `x`- and `y`-variable index sets of `atoms`.
+fn var_sets<'a>(atoms: impl Iterator<Item = &'a Atom> + Clone) -> (IndexSet, IndexSet) {
+    (
+        IndexSet::of(atoms.clone().filter_map(Atom::x_var)),
+        IndexSet::of(atoms.filter_map(Atom::y_var)),
+    )
+}
+
 /// Renames bound variables to the lexicographically-least α-variant:
 /// the minimum sorted atom vector over all injective renamings of the
 /// `x`- and `y`-variables onto `0..n`. Variable counts per clause are tiny
-/// (Definition 2.3 shapes), so permutation search is cheap.
-fn canonicalize_vars(atoms: Vec<Atom>) -> Vec<Atom> {
-    let xs: Vec<CVar> = dedup_vars(atoms.iter().flat_map(|a| a.vars()).filter(CVar::is_x));
-    let ys: Vec<CVar> = dedup_vars(atoms.iter().flat_map(|a| a.vars()).filter(CVar::is_y));
+/// (Definition 2.3 shapes), so permutation search is cheap; it reuses two
+/// buffers, one for the renaming under test and one for the best so far.
+fn canonicalize_vars(mut atoms: Vec<Atom>) -> Vec<Atom> {
+    let (xs, ys) = var_sets(atoms.iter());
     if xs.len() <= 1 && ys.len() <= 1 {
-        // Fast path: a single variable of each sort just becomes index 0.
-        return atoms
-            .into_iter()
-            .map(|a| {
-                a.map_vars(&mut |v| match v {
-                    CVar::X(_) => CVar::X(0),
-                    CVar::Y(_) => CVar::Y(0),
-                })
-            })
-            .collect();
+        // Fast path: a single variable of each sort just becomes index 0,
+        // which keeps the atoms sorted.
+        for a in &mut atoms {
+            *a = a.map_vars(&mut |v| match v {
+                CVar::X(_) => CVar::X(0),
+                CVar::Y(_) => CVar::Y(0),
+            });
+        }
+        return atoms;
     }
     assert!(
-        xs.len() <= 6 && ys.len() <= 6,
+        xs.len() <= MAX_SORT_VARS && ys.len() <= MAX_SORT_VARS,
         "clause has too many variables to canonicalize"
     );
-    let mut best: Option<Vec<Atom>> = None;
-    for xperm in permutations(xs.len()) {
-        for yperm in permutations(ys.len()) {
-            let mut renamed: Vec<Atom> = atoms
-                .iter()
-                .map(|a| {
-                    a.map_vars(&mut |v| match v {
-                        CVar::X(_) => {
-                            let i = xs.iter().position(|&w| w == v).unwrap();
-                            CVar::X(xperm[i] as u8)
-                        }
-                        CVar::Y(_) => {
-                            let i = ys.iter().position(|&w| w == v).unwrap();
-                            CVar::Y(yperm[i] as u8)
-                        }
-                    })
+    let ((xs, nx), (ys, ny)) = (xs.members(), ys.members());
+    let rank = |sorted: &[u8], i: u8| sorted.iter().position(|&w| w == i).unwrap();
+    let mut best: Vec<Atom> = Vec::new();
+    let mut renamed: Vec<Atom> = Vec::with_capacity(atoms.len());
+    for_each_permutation(nx, &mut |xperm| {
+        for_each_permutation(ny, &mut |yperm| {
+            renamed.clear();
+            renamed.extend(atoms.iter().map(|a| {
+                a.map_vars(&mut |v| match v {
+                    CVar::X(i) => CVar::X(xperm[rank(&xs[..nx], i)]),
+                    CVar::Y(i) => CVar::Y(yperm[rank(&ys[..ny], i)]),
                 })
-                .collect();
-            renamed.sort();
-            if best.as_ref().is_none_or(|b| renamed < *b) {
-                best = Some(renamed);
+            }));
+            renamed.sort_unstable();
+            if best.is_empty() || renamed < best {
+                std::mem::swap(&mut best, &mut renamed);
+            }
+        });
+    });
+    best
+}
+
+/// Calls `f` on every permutation of `0..n` (`n ≤ MAX_SORT_VARS`) by
+/// Heap's algorithm, which reaches each permutation by one swap.
+fn for_each_permutation(n: usize, f: &mut impl FnMut(&[u8])) {
+    let mut p: [u8; MAX_SORT_VARS] = std::array::from_fn(|i| i as u8);
+    let mut c = [0usize; MAX_SORT_VARS];
+    f(&p[..n]);
+    let mut i = 1;
+    while i < n {
+        if c[i] < i {
+            p.swap(if i % 2 == 0 { 0 } else { c[i] }, i);
+            f(&p[..n]);
+            c[i] += 1;
+            i = 1;
+        } else {
+            c[i] = 0;
+            i += 1;
+        }
+    }
+}
+
+/// A homomorphism search from a canonical clause's atoms `from` into the
+/// sorted, deduplicated atoms `to`, leaving out `to[skip]` if given.
+///
+/// Variables are assigned in the order `x0, x1, …, y0, y1, …`, each to a
+/// variable of the same sort in `to`. An atom is checked as soon as its
+/// last variable in that order is bound (its `y`-argument if it has one),
+/// so every partial map that fails on a bound atom is cut at once.
+struct HomSearch<'a> {
+    from: &'a [Atom],
+    to: &'a [Atom],
+    skip: Option<usize>,
+    nx: usize,
+    ny: usize,
+    to_xs: IndexSet,
+    to_ys: IndexSet,
+    x_image: [u8; MAX_SORT_VARS],
+    y_image: [u8; MAX_SORT_VARS],
+}
+
+impl<'a> HomSearch<'a> {
+    fn exists(from: &'a [Atom], to: &'a [Atom], skip: Option<usize>) -> bool {
+        let (xs, ys) = var_sets(from.iter());
+        debug_assert!(
+            xs.iter().eq(0..xs.len() as u8) && ys.iter().eq(0..ys.len() as u8),
+            "homomorphism search needs canonical variable names"
+        );
+        let kept = to
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| Some(j) != skip)
+            .map(|(_, a)| a);
+        let (to_xs, to_ys) = var_sets(kept);
+        HomSearch {
+            from,
+            to,
+            skip,
+            nx: xs.len(),
+            ny: ys.len(),
+            to_xs,
+            to_ys,
+            x_image: [0; MAX_SORT_VARS],
+            y_image: [0; MAX_SORT_VARS],
+        }
+        .search_from(0)
+    }
+
+    /// Binds the `k`-th variable to each candidate in turn.
+    fn search_from(&mut self, k: usize) -> bool {
+        if k == self.nx + self.ny {
+            return true;
+        }
+        let var = if k < self.nx {
+            CVar::X(k as u8)
+        } else {
+            CVar::Y((k - self.nx) as u8)
+        };
+        let candidates = if var.is_x() { self.to_xs } else { self.to_ys };
+        for c in candidates.iter() {
+            match var {
+                CVar::X(i) => self.x_image[usize::from(i)] = c,
+                CVar::Y(i) => self.y_image[usize::from(i)] = c,
+            }
+            if self.bound_atoms_map(var) && self.search_from(k + 1) {
+                return true;
             }
         }
+        false
     }
-    best.unwrap_or_default()
-}
 
-fn dedup_vars(it: impl Iterator<Item = CVar>) -> Vec<CVar> {
-    let mut out = Vec::new();
-    for v in it {
-        if !out.contains(&v) {
-            out.push(v);
-        }
+    /// True iff every atom whose last variable is `var` maps into `to`.
+    fn bound_atoms_map(&self, var: CVar) -> bool {
+        self.from
+            .iter()
+            .filter(|a| a.y_var().or_else(|| a.x_var()) == Some(var))
+            .all(|a| {
+                let image = a.map_vars(&mut |v| match v {
+                    CVar::X(i) => CVar::X(self.x_image[usize::from(i)]),
+                    CVar::Y(i) => CVar::Y(self.y_image[usize::from(i)]),
+                });
+                self.to
+                    .binary_search(&image)
+                    .is_ok_and(|j| Some(j) != self.skip)
+            })
     }
-    out
-}
-
-fn permutations(n: usize) -> Vec<Vec<usize>> {
-    if n == 0 {
-        return vec![Vec::new()];
-    }
-    let mut out = Vec::new();
-    for rest in permutations(n - 1) {
-        for pos in 0..=rest.len() {
-            let mut p = rest.clone();
-            p.insert(pos, n - 1);
-            out.push(p);
-        }
-    }
-    out
 }
 
 /// Shape classification of a clause per Definition 2.3.
@@ -128,7 +270,7 @@ impl Clause {
             atoms.iter().all(Atom::is_well_sorted),
             "ill-sorted atom in clause"
         );
-        atoms.sort();
+        atoms.sort_unstable();
         atoms.dedup();
         Clause {
             atoms: canonicalize_vars(atoms),
@@ -206,91 +348,43 @@ impl Clause {
         Clause::new(self.atoms.iter().copied().filter(|a| a.pred() != p))
     }
 
-    /// Searches for a homomorphism from `self` to `target`: a sort-preserving
-    /// variable mapping sending every atom of `self` into `target`.
-    pub fn homomorphism_to(&self, target: &Clause) -> Option<BTreeMap<CVar, CVar>> {
-        let my_vars: Vec<CVar> = self.vars().into_iter().collect();
-        let target_xs: Vec<CVar> = target.vars().into_iter().filter(CVar::is_x).collect();
-        let target_ys: Vec<CVar> = target.vars().into_iter().filter(CVar::is_y).collect();
-        let target_atoms: BTreeSet<Atom> = target.atoms.iter().copied().collect();
-        let mut assignment: BTreeMap<CVar, CVar> = BTreeMap::new();
-        fn search(
-            vars: &[CVar],
-            idx: usize,
-            target_xs: &[CVar],
-            target_ys: &[CVar],
-            atoms: &[Atom],
-            target_atoms: &BTreeSet<Atom>,
-            assignment: &mut BTreeMap<CVar, CVar>,
-        ) -> bool {
-            if idx == vars.len() {
-                return atoms.iter().all(|a| {
-                    let mapped = a.map_vars(&mut |v| assignment[&v]);
-                    target_atoms.contains(&mapped)
-                });
-            }
-            let v = vars[idx];
-            let candidates = if v.is_x() { target_xs } else { target_ys };
-            for &c in candidates {
-                assignment.insert(v, c);
-                // Prune: atoms fully assigned so far must map into target.
-                let ok = atoms.iter().all(|a| {
-                    let avars = a.vars();
-                    if avars.iter().all(|w| assignment.contains_key(w)) {
-                        let mapped = a.map_vars(&mut |w| assignment[&w]);
-                        target_atoms.contains(&mapped)
-                    } else {
-                        true
-                    }
-                });
-                if ok
-                    && search(
-                        vars,
-                        idx + 1,
-                        target_xs,
-                        target_ys,
-                        atoms,
-                        target_atoms,
-                        assignment,
-                    )
-                {
-                    return true;
-                }
-                assignment.remove(&v);
-            }
-            false
-        }
-        if search(
-            &my_vars,
-            0,
-            &target_xs,
-            &target_ys,
-            &self.atoms,
-            &target_atoms,
-            &mut assignment,
-        ) {
-            Some(assignment)
-        } else {
-            None
-        }
+    /// True iff a homomorphism from `self` to `target` exists: a
+    /// sort-preserving variable mapping sending every atom of `self` into
+    /// `target`.
+    pub fn homomorphism_to(&self, target: &Clause) -> bool {
+        HomSearch::exists(&self.atoms, &target.atoms, None)
+    }
+
+    /// The number of distinct `x`- and `y`-variables. By canonical naming
+    /// they are `x0 … x(nx-1)` and `y0 … y(ny-1)`.
+    pub fn var_counts(&self) -> (usize, usize) {
+        let (xs, ys) = var_sets(self.atoms.iter());
+        (xs.len(), ys.len())
     }
 
     /// Core minimization: repeatedly removes atoms `a` such that a
     /// homomorphism `C → C∖{a}` exists (then `C ≡ C∖{a}` as clauses).
     pub fn minimize(&self) -> Clause {
-        let mut cur = self.clone();
+        self.clone().into_minimized()
+    }
+
+    /// [`Clause::minimize`] by value: a clause that is already its own
+    /// core comes back without a copy.
+    pub(crate) fn into_minimized(self) -> Clause {
+        let mut cur = self;
         'outer: loop {
+            let (nx, ny) = cur.var_counts();
+            if nx <= 1 && ny <= 1 {
+                // The identity is the only sort-preserving map into
+                // `cur`, and it misses every `C∖{a}`. This covers a single
+                // atom, whose `C∖{a}` is the false clause.
+                return cur;
+            }
             for i in 0..cur.atoms.len() {
-                let mut atoms = cur.atoms.clone();
-                atoms.remove(i);
-                // Keep raw variable names during the homomorphism check;
-                // canonicalize only when accepting the smaller clause.
-                let smaller = Clause { atoms };
-                if smaller.is_false() {
-                    continue;
-                }
-                if cur.homomorphism_to(&smaller).is_some() {
-                    cur = Clause::new(smaller.atoms);
+                if HomSearch::exists(&cur.atoms, &cur.atoms, Some(i)) {
+                    let mut atoms = cur.atoms;
+                    atoms.remove(i);
+                    cur = Clause::new(atoms);
                     continue 'outer;
                 }
             }
@@ -308,8 +402,7 @@ impl Clause {
     pub fn shape(&self) -> ClauseShape {
         let has_r = self.mentions(Pred::R);
         let has_t = self.mentions(Pred::T);
-        let xs: BTreeSet<CVar> = self.vars().into_iter().filter(CVar::is_x).collect();
-        let ys: BTreeSet<CVar> = self.vars().into_iter().filter(CVar::is_y).collect();
+        let (nx, ny) = self.var_counts();
         let s_by_y = |_: ()| -> Vec<BTreeSet<u32>> {
             let mut groups: BTreeMap<CVar, BTreeSet<u32>> = BTreeMap::new();
             for a in &self.atoms {
@@ -328,7 +421,7 @@ impl Clause {
             }
             groups.into_values().collect()
         };
-        match (has_r, has_t, xs.len(), ys.len()) {
+        match (has_r, has_t, nx, ny) {
             (true, false, 1, 1) => {
                 let j: BTreeSet<u32> = self
                     .atoms
@@ -368,8 +461,8 @@ impl Clause {
                     })
                     .collect(),
             ),
-            (false, false, 1, _) if ys.len() > 1 => ClauseShape::LeftII(s_by_y(())),
-            (false, false, _, 1) if xs.len() > 1 => ClauseShape::RightII(s_by_x(())),
+            (false, false, 1, _) if ny > 1 => ClauseShape::LeftII(s_by_y(())),
+            (false, false, _, 1) if nx > 1 => ClauseShape::RightII(s_by_x(())),
             _ => ClauseShape::Other,
         }
     }
@@ -414,6 +507,173 @@ impl fmt::Debug for Clause {
     }
 }
 
+/// The tree-map implementations this module replaced, kept as test
+/// oracles for the allocation-free searches above.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// `Clause::new` with the permutation-vector canonicalization.
+    pub fn new(atoms: impl IntoIterator<Item = Atom>) -> Clause {
+        let mut atoms: Vec<Atom> = atoms.into_iter().collect();
+        atoms.sort();
+        atoms.dedup();
+        Clause {
+            atoms: canonicalize_vars(atoms),
+        }
+    }
+
+    fn canonicalize_vars(atoms: Vec<Atom>) -> Vec<Atom> {
+        let xs: Vec<CVar> = dedup_vars(atoms.iter().flat_map(|a| a.vars()).filter(CVar::is_x));
+        let ys: Vec<CVar> = dedup_vars(atoms.iter().flat_map(|a| a.vars()).filter(CVar::is_y));
+        if xs.len() <= 1 && ys.len() <= 1 {
+            return atoms
+                .into_iter()
+                .map(|a| {
+                    a.map_vars(&mut |v| match v {
+                        CVar::X(_) => CVar::X(0),
+                        CVar::Y(_) => CVar::Y(0),
+                    })
+                })
+                .collect();
+        }
+        let mut best: Option<Vec<Atom>> = None;
+        for xperm in permutations(xs.len()) {
+            for yperm in permutations(ys.len()) {
+                let mut renamed: Vec<Atom> = atoms
+                    .iter()
+                    .map(|a| {
+                        a.map_vars(&mut |v| match v {
+                            CVar::X(_) => {
+                                let i = xs.iter().position(|&w| w == v).unwrap();
+                                CVar::X(xperm[i] as u8)
+                            }
+                            CVar::Y(_) => {
+                                let i = ys.iter().position(|&w| w == v).unwrap();
+                                CVar::Y(yperm[i] as u8)
+                            }
+                        })
+                    })
+                    .collect();
+                renamed.sort();
+                if best.as_ref().is_none_or(|b| renamed < *b) {
+                    best = Some(renamed);
+                }
+            }
+        }
+        best.unwrap_or_default()
+    }
+
+    fn dedup_vars(it: impl Iterator<Item = CVar>) -> Vec<CVar> {
+        let mut out = Vec::new();
+        for v in it {
+            if !out.contains(&v) {
+                out.push(v);
+            }
+        }
+        out
+    }
+
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for rest in permutations(n - 1) {
+            for pos in 0..=rest.len() {
+                let mut p = rest.clone();
+                p.insert(pos, n - 1);
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    /// The backtracking search over a `BTreeMap` assignment, checked
+    /// against a `BTreeSet` of target atoms.
+    pub fn homomorphism_to(from: &Clause, target: &Clause) -> bool {
+        let my_vars: Vec<CVar> = from.vars().into_iter().collect();
+        let target_xs: Vec<CVar> = target.vars().into_iter().filter(CVar::is_x).collect();
+        let target_ys: Vec<CVar> = target.vars().into_iter().filter(CVar::is_y).collect();
+        let target_atoms: BTreeSet<Atom> = target.atoms.iter().copied().collect();
+        let mut assignment: BTreeMap<CVar, CVar> = BTreeMap::new();
+        fn search(
+            vars: &[CVar],
+            idx: usize,
+            target_xs: &[CVar],
+            target_ys: &[CVar],
+            atoms: &[Atom],
+            target_atoms: &BTreeSet<Atom>,
+            assignment: &mut BTreeMap<CVar, CVar>,
+        ) -> bool {
+            if idx == vars.len() {
+                return atoms.iter().all(|a| {
+                    let mapped = a.map_vars(&mut |v| assignment[&v]);
+                    target_atoms.contains(&mapped)
+                });
+            }
+            let v = vars[idx];
+            let candidates = if v.is_x() { target_xs } else { target_ys };
+            for &c in candidates {
+                assignment.insert(v, c);
+                let ok = atoms.iter().all(|a| {
+                    let avars = a.vars();
+                    if avars.iter().all(|w| assignment.contains_key(w)) {
+                        let mapped = a.map_vars(&mut |w| assignment[&w]);
+                        target_atoms.contains(&mapped)
+                    } else {
+                        true
+                    }
+                });
+                if ok
+                    && search(
+                        vars,
+                        idx + 1,
+                        target_xs,
+                        target_ys,
+                        atoms,
+                        target_atoms,
+                        assignment,
+                    )
+                {
+                    return true;
+                }
+                assignment.remove(&v);
+            }
+            false
+        }
+        search(
+            &my_vars,
+            0,
+            &target_xs,
+            &target_ys,
+            &from.atoms,
+            &target_atoms,
+            &mut assignment,
+        )
+    }
+
+    /// Minimization that clones the clause once per candidate atom.
+    pub fn minimize(c: &Clause) -> Clause {
+        let mut cur = c.clone();
+        'outer: loop {
+            for i in 0..cur.atoms.len() {
+                let mut atoms = cur.atoms.clone();
+                atoms.remove(i);
+                let smaller = Clause { atoms };
+                if smaller.is_false() {
+                    continue;
+                }
+                if homomorphism_to(&cur, &smaller) {
+                    cur = new(smaller.atoms);
+                    continue 'outer;
+                }
+            }
+            return cur;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,8 +715,8 @@ mod tests {
         // S_{0} → S_{0,1}: J ⊆ J' gives a homomorphism.
         let c1 = Clause::middle([0]);
         let c2 = Clause::middle([0, 1]);
-        assert!(c1.homomorphism_to(&c2).is_some());
-        assert!(c2.homomorphism_to(&c1).is_none());
+        assert!(c1.homomorphism_to(&c2));
+        assert!(!c2.homomorphism_to(&c1));
     }
 
     #[test]
@@ -464,9 +724,9 @@ mod tests {
         // S_0(x,y) maps into R(x) ∨ S_0(x,y) ∨ S_1(x,y).
         let m = Clause::middle([0]);
         let l = Clause::left_i([0, 1]);
-        assert!(m.homomorphism_to(&l).is_some());
+        assert!(m.homomorphism_to(&l));
         // But the left clause cannot map back (R has no target).
-        assert!(l.homomorphism_to(&m).is_none());
+        assert!(!l.homomorphism_to(&m));
     }
 
     #[test]
@@ -474,10 +734,10 @@ mod tests {
         // Middle S_1 maps into ∀y S_{0,1} ∨ ∀y S_{1,2} via either branch.
         let m = Clause::middle([1]);
         let l = Clause::left_ii(&[&[0, 1], &[1, 2]]);
-        assert!(m.homomorphism_to(&l).is_some());
+        assert!(m.homomorphism_to(&l));
         // Middle S_3 does not.
         let m2 = Clause::middle([3]);
-        assert!(m2.homomorphism_to(&l).is_none());
+        assert!(!m2.homomorphism_to(&l));
     }
 
     #[test]
@@ -488,8 +748,8 @@ mod tests {
         let l = Clause::left_ii(&[&[0], &[1]]);
         let r_good = Clause::right_ii(&[&[0, 1, 2], &[3]]);
         let r_bad = Clause::right_ii(&[&[0], &[1]]);
-        assert!(l.homomorphism_to(&r_good).is_some());
-        assert!(l.homomorphism_to(&r_bad).is_none());
+        assert!(l.homomorphism_to(&r_good));
+        assert!(!l.homomorphism_to(&r_bad));
     }
 
     #[test]
@@ -535,7 +795,7 @@ mod tests {
             Clause::left_i([0]),
             Clause::left_ii(&[&[0, 1], &[2]]),
         ] {
-            assert!(c.homomorphism_to(&c).is_some());
+            assert!(c.homomorphism_to(&c));
         }
     }
 }

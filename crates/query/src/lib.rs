@@ -27,7 +27,9 @@ pub use query::{catalog, BipartiteQuery, PartType, QueryType};
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::clause::reference;
     use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::collections::BTreeSet;
 
     /// Random middle/left/right clauses over up to 5 binary symbols.
@@ -49,6 +51,69 @@ mod proptests {
         proptest::collection::vec(arb_clause(), 1..4).prop_map(BipartiteQuery::new)
     }
 
+    /// A nonempty random subset of `0..n_symbols`.
+    fn symbol_set(rng: &mut StdRng, n_symbols: u32) -> Vec<u32> {
+        let mut out: Vec<u32> = (0..n_symbols).filter(|_| rng.gen_bool(0.4)).collect();
+        if out.is_empty() {
+            out.push(rng.gen_range(0..n_symbols));
+        }
+        out
+    }
+
+    /// The raw clauses of a query drawn as the engine's `random_query`
+    /// draws them: 1–3 binary symbols, 2–4 clauses from the Definition 2.3
+    /// menu (Type I and II left and right, middle), led by a left and a
+    /// right Type I clause sharing a symbol in half the draws.
+    fn menu_clauses(rng: &mut StdRng) -> Vec<Clause> {
+        let n_symbols = rng.gen_range(1..=3u32);
+        let mut out = Vec::new();
+        if rng.gen_bool(0.5) {
+            let bridge = rng.gen_range(0..n_symbols);
+            for right in [false, true] {
+                let mut j = symbol_set(rng, n_symbols);
+                j.push(bridge);
+                out.push(if right {
+                    Clause::right_i(j)
+                } else {
+                    Clause::left_i(j)
+                });
+            }
+        }
+        let n_clauses = rng.gen_range(2..=4);
+        while out.len() < n_clauses {
+            let (a, b) = (symbol_set(rng, n_symbols), symbol_set(rng, n_symbols));
+            out.push(match rng.gen_range(0..5u8) {
+                0 => Clause::left_i(a),
+                1 => Clause::left_ii(&[&a, &b]),
+                2 => Clause::middle(a),
+                3 => Clause::right_ii(&[&a, &b]),
+                _ => Clause::right_i(a),
+            });
+        }
+        out
+    }
+
+    /// 1–6 random atoms over 3 symbols and raw variable names (up to four
+    /// per sort, indices not contiguous), so canonicalization renames.
+    fn raw_atoms(rng: &mut StdRng) -> Vec<Atom> {
+        let names = [0u8, 1, 2, 7];
+        let var = |rng: &mut StdRng, x: bool| {
+            let i = names[rng.gen_range(0..names.len())];
+            if x {
+                CVar::X(i)
+            } else {
+                CVar::Y(i)
+            }
+        };
+        (0..rng.gen_range(1..=6))
+            .map(|_| match rng.gen_range(0..5u8) {
+                0 => Atom::R(var(rng, true)),
+                1 => Atom::T(var(rng, false)),
+                _ => Atom::S(rng.gen_range(0..3), var(rng, true), var(rng, false)),
+            })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -68,10 +133,40 @@ mod proptests {
         fn homomorphism_is_reflexive_and_transitive(
             a in arb_clause(), b in arb_clause(), c in arb_clause()
         ) {
-            prop_assert!(a.homomorphism_to(&a).is_some());
-            if a.homomorphism_to(&b).is_some() && b.homomorphism_to(&c).is_some() {
-                prop_assert!(a.homomorphism_to(&c).is_some());
+            prop_assert!(a.homomorphism_to(&a));
+            if a.homomorphism_to(&b) && b.homomorphism_to(&c) {
+                prop_assert!(a.homomorphism_to(&c));
             }
+        }
+
+        #[test]
+        fn clause_construction_matches_the_reference(seed in any::<u64>()) {
+            let atoms = raw_atoms(&mut StdRng::seed_from_u64(seed));
+            prop_assert_eq!(Clause::new(atoms.clone()), reference::new(atoms));
+        }
+
+        #[test]
+        fn homomorphisms_and_cores_match_the_reference(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut clauses = menu_clauses(&mut rng);
+            clauses.extend((0..2).map(|_| Clause::new(raw_atoms(&mut rng))));
+            for a in &clauses {
+                prop_assert_eq!(a.minimize(), reference::minimize(a));
+                for b in &clauses {
+                    prop_assert_eq!(a.homomorphism_to(b), reference::homomorphism_to(a, b));
+                }
+            }
+        }
+
+        #[test]
+        fn query_construction_matches_the_reference(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut clauses = menu_clauses(&mut rng);
+            if rng.gen_bool(0.25) {
+                clauses.push(Clause::new(raw_atoms(&mut rng)));
+            }
+            let q = BipartiteQuery::new(clauses.clone());
+            prop_assert_eq!(q.clauses(), &BipartiteQuery::new_reference(clauses)[..]);
         }
 
         #[test]

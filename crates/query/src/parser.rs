@@ -158,7 +158,9 @@ impl<'a> Parser<'a> {
 
     fn clause(&mut self) -> Result<Clause, ParseError> {
         let bracketed = self.try_eat(b'[');
-        let mut atoms = vec![self.atom()?];
+        // Room for the usual clause up front, so short clauses allocate once.
+        let mut atoms = Vec::with_capacity(4);
+        atoms.push(self.atom()?);
         loop {
             match self.peek() {
                 Some(b'v') => {
@@ -179,7 +181,8 @@ impl<'a> Parser<'a> {
     }
 
     fn query(&mut self) -> Result<BipartiteQuery, ParseError> {
-        let mut clauses = vec![self.clause()?];
+        let mut clauses = Vec::with_capacity(4);
+        clauses.push(self.clause()?);
         while self.try_eat(b'&') {
             clauses.push(self.clause()?);
         }

@@ -38,21 +38,48 @@ impl BipartiteQuery {
     /// Builds a query from clauses, minimizing each clause and removing
     /// redundant clauses (those reachable by a homomorphism from another).
     pub fn new(clauses: impl IntoIterator<Item = Clause>) -> Self {
-        let mut cs: Vec<Clause> = clauses.into_iter().map(|c| c.minimize()).collect();
+        let mut cs: Vec<Clause> = clauses.into_iter().map(Clause::into_minimized).collect();
         if cs.iter().any(Clause::is_false) {
             return BipartiteQuery::bottom();
         }
-        cs.sort();
+        cs.sort_unstable();
         cs.dedup();
         // Remove redundant clauses: C_j is redundant if some other C_i has a
         // homomorphism C_i → C_j.
+        let mut keep = vec![true; cs.len()];
+        for j in 0..cs.len() {
+            keep[j] = !(0..cs.len()).any(|i| i != j && keep[i] && cs[i].homomorphism_to(&cs[j]));
+        }
+        let mut idx = 0;
+        cs.retain(|_| {
+            let k = keep[idx];
+            idx += 1;
+            k
+        });
+        BipartiteQuery { clauses: cs }
+    }
+
+    /// [`BipartiteQuery::new`] over the reference clause searches, as a
+    /// test oracle: the surviving clauses in order.
+    #[cfg(test)]
+    pub(crate) fn new_reference(clauses: impl IntoIterator<Item = Clause>) -> Vec<Clause> {
+        use crate::clause::reference;
+        let mut cs: Vec<Clause> = clauses
+            .into_iter()
+            .map(|c| reference::minimize(&c))
+            .collect();
+        if cs.iter().any(Clause::is_false) {
+            return BipartiteQuery::bottom().clauses;
+        }
+        cs.sort();
+        cs.dedup();
         let mut keep = vec![true; cs.len()];
         for j in 0..cs.len() {
             for i in 0..cs.len() {
                 if i == j || !keep[i] {
                     continue;
                 }
-                if cs[i].homomorphism_to(&cs[j]).is_some() {
+                if reference::homomorphism_to(&cs[i], &cs[j]) {
                     keep[j] = false;
                     break;
                 }
@@ -64,7 +91,7 @@ impl BipartiteQuery {
             idx += 1;
             k
         });
-        BipartiteQuery { clauses: cs }
+        cs
     }
 
     /// The constant `true` query.

@@ -118,6 +118,11 @@ impl Tid {
             .unwrap_or_else(|| self.default_prob.clone())
     }
 
+    /// True iff the tuple's probability was set explicitly.
+    pub fn is_explicit(&self, t: &Tuple) -> bool {
+        self.probs.contains_key(t)
+    }
+
     /// The explicitly-set tuples with their probabilities.
     pub fn explicit_tuples(&self) -> impl Iterator<Item = (&Tuple, &Rational)> {
         self.probs.iter()

@@ -5,38 +5,79 @@
 //! variable per ground tuple. Deterministic tuples are folded in during
 //! grounding: a probability-1 tuple satisfies its ground clause outright, a
 //! probability-0 tuple disappears from it.
+//!
+//! Grounding works on domain positions. A clause's variables are canonical
+//! (`x0 … x(nx-1)`, `y0 … y(ny-1)`), so an assignment is one array of left
+//! positions and one of right positions, and every ground tuple has a slot
+//! number computed from its symbol and positions. Only explicitly listed
+//! tuples can be uncertain, so one per-request table holds them, sorted by
+//! slot and found by binary search, and records the variable each one was
+//! given on first use. Its size follows the listed tuples, not the domain.
+//! Variables are numbered in order of first use, as the grounding loops
+//! meet them.
 
 use crate::database::{Tid, Tuple};
 use gfomc_arith::Rational;
 use gfomc_logic::{Clause as PropClause, Cnf, Var};
+use gfomc_query::clause::MAX_SORT_VARS;
 use gfomc_query::{Atom, BipartiteQuery, CVar, Clause};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
-/// Bidirectional mapping between ground tuples and propositional variables,
-/// carrying the tuple probabilities as WMC weights.
+/// The ground tuples of a lineage and their probabilities, indexed by
+/// propositional variable; the weights are a [`gfomc_logic::WeightFn`].
+///
+/// The tuple → variable index is built on the first [`VarTable::lookup`]
+/// or [`VarTable::var_for`] and kept up to date from then on. Grounding
+/// interns through its own positional table, so a lineage built for one
+/// evaluation never hashes a tuple.
 #[derive(Clone, Debug, Default)]
 pub struct VarTable {
     tuples: Vec<Tuple>,
-    index: HashMap<Tuple, Var>,
-    weights: HashMap<Var, Rational>,
+    weights: Vec<Rational>,
+    index: OnceLock<HashMap<Tuple, Var>>,
 }
 
 impl VarTable {
+    /// An empty table with room for `n` tuples.
+    fn with_capacity(n: usize) -> VarTable {
+        VarTable {
+            tuples: Vec::with_capacity(n),
+            weights: Vec::with_capacity(n),
+            index: OnceLock::new(),
+        }
+    }
+
+    fn index(&self) -> &HashMap<Tuple, Var> {
+        self.index.get_or_init(|| {
+            (0..self.tuples.len() as u32)
+                .map(|i| (self.tuples[i as usize], Var(i)))
+                .collect()
+        })
+    }
+
     /// Interns a tuple, assigning it the next variable id.
     pub fn var_for(&mut self, t: Tuple, prob: &Rational) -> Var {
-        if let Some(&v) = self.index.get(&t) {
-            return v;
+        match self.index().get(&t) {
+            Some(&v) => v,
+            None => self.push(t, prob.clone()),
         }
+    }
+
+    /// Appends a tuple not yet in the table.
+    fn push(&mut self, t: Tuple, prob: Rational) -> Var {
         let v = Var(self.tuples.len() as u32);
         self.tuples.push(t);
-        self.index.insert(t, v);
-        self.weights.insert(v, prob.clone());
+        self.weights.push(prob);
+        if let Some(index) = self.index.get_mut() {
+            index.insert(t, v);
+        }
         v
     }
 
     /// Looks up the variable of a tuple, if interned.
     pub fn lookup(&self, t: &Tuple) -> Option<Var> {
-        self.index.get(t).copied()
+        self.index().get(t).copied()
     }
 
     /// The tuple of a variable.
@@ -44,8 +85,13 @@ impl VarTable {
         self.tuples[v.0 as usize]
     }
 
-    /// The weight map for the WMC engine.
-    pub fn weights(&self) -> &HashMap<Var, Rational> {
+    /// The weight (tuple probability) of a variable.
+    pub fn weight(&self, v: Var) -> &Rational {
+        &self.weights[v.0 as usize]
+    }
+
+    /// The weights for the WMC engine, indexed by variable.
+    pub fn weights(&self) -> &Vec<Rational> {
         &self.weights
     }
 
@@ -77,22 +123,20 @@ pub struct Lineage {
 /// are dropped from their clauses. The resulting CNF thus mentions only
 /// tuples with probability in `(0, 1)`.
 pub fn lineage(q: &BipartiteQuery, tid: &Tid) -> Lineage {
-    let mut vars = VarTable::default();
+    let mut vars = VarTable::with_capacity(tid.explicit_tuples().size_hint().0);
+    let bottom = |vars| Lineage {
+        cnf: Cnf::bottom(),
+        vars,
+    };
     if q.is_false() {
-        return Lineage {
-            cnf: Cnf::bottom(),
-            vars,
-        };
+        return bottom(vars);
     }
+    let mut grounder = Grounder::new(q, tid);
     let mut clauses: Vec<PropClause> = Vec::new();
     for clause in q.clauses() {
-        ground_clause(clause, tid, &mut vars, &mut clauses);
         // Early exit: a false ground clause makes the lineage false.
-        if clauses.iter().any(|c| c.is_empty()) {
-            return Lineage {
-                cnf: Cnf::bottom(),
-                vars,
-            };
+        if !grounder.ground_clause(clause, &mut vars, &mut clauses) {
+            return bottom(vars);
         }
     }
     Lineage {
@@ -101,30 +145,176 @@ pub fn lineage(q: &BipartiteQuery, tid: &Tid) -> Lineage {
     }
 }
 
-/// Grounds one query clause over all assignments of its sorted variables.
-fn ground_clause(clause: &Clause, tid: &Tid, vars: &mut VarTable, out: &mut Vec<PropClause>) {
-    let xs: Vec<CVar> = clause.vars().into_iter().filter(CVar::is_x).collect();
-    let ys: Vec<CVar> = clause.vars().into_iter().filter(CVar::is_y).collect();
-    let u = tid.left_domain();
-    let v = tid.right_domain();
-    // With an empty domain on a quantified sort, the universal clause is
-    // vacuously true: no groundings.
-    if (!xs.is_empty() && u.is_empty()) || (!ys.is_empty() && v.is_empty()) {
-        return;
+/// An explicitly listed tuple of a symbol the query mentions.
+struct Listed<'a> {
+    slot: usize,
+    tuple: Tuple,
+    prob: &'a Rational,
+    /// Its variable once interned.
+    var: Option<Var>,
+}
+
+/// The per-request grounding state. Slots number the ground tuples by
+/// position: `R(u)` at `u`, `T(v)` at `|U| + v`, and `S_i(u, v)` at
+/// `|U| + |V| + (k·|U| + u)·|V| + v`, where `u`, `v` are domain positions
+/// and `k` is the rank of `i` among the query's binary symbols.
+struct Grounder<'a> {
+    tid: &'a Tid,
+    /// The query's binary symbols, sorted.
+    symbols: Vec<u32>,
+    /// Sorted by slot.
+    listed: Vec<Listed<'a>>,
+    /// The literals of the ground clause being built; a satisfied ground
+    /// clause is dropped without allocating.
+    lits: Vec<Var>,
+}
+
+impl<'a> Grounder<'a> {
+    fn new(q: &BipartiteQuery, tid: &'a Tid) -> Grounder<'a> {
+        let mut symbols: Vec<u32> = q
+            .clauses()
+            .iter()
+            .flat_map(|c| c.atoms())
+            .filter_map(|a| match *a {
+                Atom::S(i, _, _) => Some(i),
+                _ => None,
+            })
+            .collect();
+        symbols.sort_unstable();
+        symbols.dedup();
+        let mut g = Grounder {
+            tid,
+            symbols,
+            listed: Vec::with_capacity(tid.explicit_tuples().size_hint().0),
+            lits: Vec::new(),
+        };
+        for (&tuple, prob) in tid.explicit_tuples() {
+            if let Some(slot) = g.slot_of(tuple) {
+                g.listed.push(Listed {
+                    slot,
+                    tuple,
+                    prob,
+                    var: None,
+                });
+            }
+        }
+        // The database lists tuples in slot order already (`R`, `T`, then
+        // `S` by symbol and constants); sorting does not rely on it.
+        g.listed.sort_unstable_by_key(|l| l.slot);
+        g
     }
-    // Iterate over all |U|^|xs| × |V|^|ys| assignments.
-    let mut x_assign = vec![0usize; xs.len()];
-    loop {
-        let mut y_assign = vec![0usize; ys.len()];
+
+    /// The slot of a listed tuple, if its symbol occurs in the query.
+    fn slot_of(&self, t: Tuple) -> Option<usize> {
+        let left = |u: u32| self.tid.left_domain().binary_search(&u).ok();
+        let right = |v: u32| self.tid.right_domain().binary_search(&v).ok();
+        match t {
+            Tuple::R(u) => left(u).map(|u| self.r_slot(u)),
+            Tuple::T(v) => right(v).map(|v| self.t_slot(v)),
+            Tuple::S(i, u, v) => {
+                let k = self.symbols.binary_search(&i).ok()?;
+                Some(self.s_slot(k, left(u)?, right(v)?))
+            }
+        }
+    }
+
+    fn r_slot(&self, u: usize) -> usize {
+        u
+    }
+
+    fn t_slot(&self, v: usize) -> usize {
+        self.tid.left_domain().len() + v
+    }
+
+    fn s_slot(&self, k: usize, u: usize, v: usize) -> usize {
+        let (nu, nv) = (self.tid.left_domain().len(), self.tid.right_domain().len());
+        nu + nv + (k * nu + u) * nv + v
+    }
+
+    /// Grounds one query clause over all assignments of its sorted
+    /// variables, left positions outermost and the first variable of each
+    /// sort fastest. False iff a ground clause came out empty.
+    fn ground_clause(
+        &mut self,
+        clause: &Clause,
+        vars: &mut VarTable,
+        out: &mut Vec<PropClause>,
+    ) -> bool {
+        let (nx, ny) = clause.var_counts();
+        let (nu, nv) = (self.tid.left_domain().len(), self.tid.right_domain().len());
+        // With an empty domain on a quantified sort, the universal clause is
+        // vacuously true: no groundings.
+        if (nx > 0 && nu == 0) || (ny > 0 && nv == 0) {
+            return true;
+        }
+        let mut xs = [0usize; MAX_SORT_VARS];
+        let mut nonempty = true;
         loop {
-            ground_one(clause, tid, &xs, &x_assign, &ys, &y_assign, u, v, vars, out);
-            if !increment(&mut y_assign, v.len()) {
+            let mut ys = [0usize; MAX_SORT_VARS];
+            loop {
+                nonempty &= self.ground_one(clause, &xs, &ys, vars, out);
+                if !increment(&mut ys[..ny], nv) {
+                    break;
+                }
+            }
+            if !increment(&mut xs[..nx], nu) {
                 break;
             }
         }
-        if !increment(&mut x_assign, u.len()) {
-            break;
+        nonempty
+    }
+
+    /// Grounds the clause at one assignment of positions. False iff the
+    /// ground clause is empty (every disjunct impossible).
+    fn ground_one(
+        &mut self,
+        clause: &Clause,
+        xs: &[usize],
+        ys: &[usize],
+        vars: &mut VarTable,
+        out: &mut Vec<PropClause>,
+    ) -> bool {
+        let pos = |v: CVar| match v {
+            CVar::X(i) => xs[usize::from(i)],
+            CVar::Y(i) => ys[usize::from(i)],
+        };
+        self.lits.clear();
+        for atom in clause.atoms() {
+            let slot = match *atom {
+                Atom::R(x) => self.r_slot(pos(x)),
+                Atom::T(y) => self.t_slot(pos(y)),
+                Atom::S(i, x, y) => {
+                    let k = self
+                        .symbols
+                        .binary_search(&i)
+                        .expect("symbols lists every atom's");
+                    self.s_slot(k, pos(x), pos(y))
+                }
+            };
+            let Ok(e) = self.listed.binary_search_by_key(&slot, |l| l.slot) else {
+                if self.tid.default_prob().is_one() {
+                    // An unlisted tuple is certain: the clause is satisfied.
+                    return true;
+                }
+                // An unlisted tuple is impossible: drop it.
+                continue;
+            };
+            let entry = &mut self.listed[e];
+            if entry.prob.is_one() {
+                // A certain disjunct: the whole ground clause is satisfied.
+                return true;
+            }
+            if entry.prob.is_zero() {
+                // An impossible disjunct: drop it.
+                continue;
+            }
+            let var = *entry
+                .var
+                .get_or_insert_with(|| vars.push(entry.tuple, entry.prob.clone()));
+            self.lits.push(var);
         }
+        out.push(PropClause::new(self.lits.iter().copied()));
+        !self.lits.is_empty()
     }
 }
 
@@ -143,50 +333,72 @@ fn increment(digits: &mut [usize], radix: usize) -> bool {
     false
 }
 
-#[allow(clippy::too_many_arguments)]
-fn ground_one(
-    clause: &Clause,
-    tid: &Tid,
-    xs: &[CVar],
-    x_assign: &[usize],
-    ys: &[CVar],
-    y_assign: &[usize],
-    u: &[u32],
-    v: &[u32],
-    vars: &mut VarTable,
-    out: &mut Vec<PropClause>,
-) {
-    let lookup = |cv: CVar| -> u32 {
-        match cv {
-            CVar::X(_) => {
-                let i = xs.iter().position(|&w| w == cv).unwrap();
-                u[x_assign[i]]
-            }
-            CVar::Y(_) => {
-                let i = ys.iter().position(|&w| w == cv).unwrap();
-                v[y_assign[i]]
-            }
-        }
-    };
-    let mut lits: Vec<Var> = Vec::with_capacity(clause.atoms().len());
-    for atom in clause.atoms() {
-        let tuple = match *atom {
-            Atom::R(x) => Tuple::R(lookup(x)),
-            Atom::T(y) => Tuple::T(lookup(y)),
-            Atom::S(i, x, y) => Tuple::S(i, lookup(x), lookup(y)),
-        };
-        let p = tid.prob(&tuple);
-        if p.is_one() {
-            // A certain disjunct: the whole ground clause is satisfied.
-            return;
-        }
-        if p.is_zero() {
-            // An impossible disjunct: drop it.
+/// The grounding this module replaced, kept as a test oracle: tuples
+/// interned through a `HashMap`, probabilities read from the database map
+/// per ground atom. Returns the CNF and each variable's tuple and weight.
+#[cfg(test)]
+pub(crate) fn lineage_reference(q: &BipartiteQuery, tid: &Tid) -> (Cnf, Vec<(Tuple, Rational)>) {
+    let mut index: HashMap<Tuple, Var> = HashMap::new();
+    let mut table: Vec<(Tuple, Rational)> = Vec::new();
+    if q.is_false() {
+        return (Cnf::bottom(), table);
+    }
+    let (u, v) = (tid.left_domain(), tid.right_domain());
+    let mut clauses: Vec<PropClause> = Vec::new();
+    for clause in q.clauses() {
+        let xs: Vec<CVar> = clause.vars().into_iter().filter(CVar::is_x).collect();
+        let ys: Vec<CVar> = clause.vars().into_iter().filter(CVar::is_y).collect();
+        if (!xs.is_empty() && u.is_empty()) || (!ys.is_empty() && v.is_empty()) {
             continue;
         }
-        lits.push(vars.var_for(tuple, &p));
+        let mut x_assign = vec![0usize; xs.len()];
+        loop {
+            let mut y_assign = vec![0usize; ys.len()];
+            loop {
+                let lookup = |cv: CVar| -> u32 {
+                    match cv {
+                        CVar::X(_) => u[x_assign[xs.iter().position(|&w| w == cv).unwrap()]],
+                        CVar::Y(_) => v[y_assign[ys.iter().position(|&w| w == cv).unwrap()]],
+                    }
+                };
+                let mut lits: Vec<Var> = Vec::new();
+                let mut satisfied = false;
+                for atom in clause.atoms() {
+                    let tuple = match *atom {
+                        Atom::R(x) => Tuple::R(lookup(x)),
+                        Atom::T(y) => Tuple::T(lookup(y)),
+                        Atom::S(i, x, y) => Tuple::S(i, lookup(x), lookup(y)),
+                    };
+                    let p = tid.prob(&tuple);
+                    if p.is_one() {
+                        satisfied = true;
+                        break;
+                    }
+                    if p.is_zero() {
+                        continue;
+                    }
+                    let var = *index.entry(tuple).or_insert_with(|| {
+                        table.push((tuple, p.clone()));
+                        Var(table.len() as u32 - 1)
+                    });
+                    lits.push(var);
+                }
+                if !satisfied {
+                    clauses.push(PropClause::new(lits));
+                }
+                if !increment(&mut y_assign, v.len()) {
+                    break;
+                }
+            }
+            if !increment(&mut x_assign, u.len()) {
+                break;
+            }
+        }
+        if clauses.iter().any(|c| c.is_empty()) {
+            return (Cnf::bottom(), table);
+        }
     }
-    out.push(PropClause::new(lits));
+    (Cnf::new(clauses), table)
 }
 
 #[cfg(test)]
@@ -293,7 +505,26 @@ mod tests {
         for v in lin.cnf.vars() {
             let t = lin.vars.tuple_of(v);
             assert_eq!(lin.vars.lookup(&t), Some(v));
-            assert_eq!(lin.vars.weights()[&v], tid.prob(&t));
+            assert_eq!(*lin.vars.weight(v), tid.prob(&t));
         }
+    }
+
+    #[test]
+    fn var_table_index_follows_later_interning() {
+        let q = catalog::h1();
+        let tid = small_tid(&q);
+        let mut vars = lineage(&q, &tid).vars;
+        let n = vars.len() as u32;
+        let first = vars.tuple_of(Var(0));
+        // The first lookup builds the index; interning extends it.
+        assert_eq!(vars.lookup(&first), Some(Var(0)));
+        let fresh = Tuple::S(7, 0, 0);
+        assert_eq!(vars.lookup(&fresh), None);
+        assert_eq!(vars.var_for(fresh, &half()), Var(n));
+        assert_eq!(vars.var_for(fresh, &Rational::one()), Var(n));
+        assert_eq!(vars.lookup(&fresh), Some(Var(n)));
+        assert_eq!(*vars.weight(Var(n)), half());
+        assert_eq!(vars.var_for(first, &half()), Var(0));
+        assert_eq!(vars.len(), n as usize + 1);
     }
 }
